@@ -45,6 +45,7 @@ from .model import (
     log_density,
     log_density_batch,
     save_model,
+    sigmoid,
 )
 from .objective import (
     LabeledBatch,
@@ -55,7 +56,6 @@ from .objective import (
     objective_and_gradient,
     objective_value,
     pairwise_regularizer,
-    sigmoid,
 )
 from .training import (
     AdamState,

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOG_2PI = float(np.log(2.0 * np.pi))
+from .model import LOG_2PI
+
 VARIANCE_FLOOR = 1e-6
 
 

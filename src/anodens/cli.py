@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -167,34 +168,34 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_attribute_names(found, expected) -> None:
+    """Fail at the first position where the data's attribute columns differ from the model's."""
+    for pos, (have, want) in enumerate(zip_longest(found, expected)):
+        if have != want:
+            raise ValueError(f"attribute {pos} is {have!r} in the data but {want!r} in the model")
+
+
 def cmd_score(args) -> int:
     _require(args, "model", "data", "out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params, stats = load_model(args.model)
     ds = datamod.load_csv(args.data, args.label)
-    attributes = stats.apply(ds.attributes) if stats is not None else ds.attributes
+    attributes = ds.attributes
+    if stats is not None:
+        _check_attribute_names(ds.attribute_names, stats.attribute_names)
+        attributes = stats.apply(attributes)
     scores = anomaly_score_batch(params, attributes)
-    indices = np.arange(ds.n_instances)
-    with open(out / "scores.csv", "w", encoding="utf-8") as fh:
-        fh.write("index,label,score\n")
-        for idx, label, score in zip(indices, ds.labels, scores):
-            fh.write(f"{idx},{label},{float(score)!r}\n")
-    anom = scores[ds.labels == 1]
-    norm = scores[ds.labels == 0]
-    summary = {
-        "n_anomalies": int(anom.size),
-        "n_normals": int(norm.size),
-        "auc": metrics.auc(anom, norm) if anom.size and norm.size else None,
-    }
-    metrics.write_json_summary(str(out / "score_summary.json"), summary)
-    if args.roc and anom.size and norm.size:
-        points = metrics.roc_points(anom, norm)
+    report = metrics.report_from_scores(np.arange(ds.n_instances), ds.labels, scores)
+    report.write_csv(str(out / "scores.csv"))
+    metrics.write_json_summary(str(out / "score_summary.json"), report.to_json_dict())
+    if args.roc and report.auc is not None:
+        points = metrics.roc_points(scores[ds.labels == 1], scores[ds.labels == 0])
         with open(out / "roc.tsv", "w", encoding="utf-8") as fh:
             fh.write("threshold\tfpr\ttpr\n")
             for t, fpr, tpr in points:
                 fh.write(f"{_fmt(t)}\t{float(fpr)!r}\t{float(tpr)!r}\n")
-    auc_text = "n/a" if summary["auc"] is None else _fmt(summary["auc"])
+    auc_text = "n/a" if report.auc is None else _fmt(report.auc)
     print(f"scored {ds.n_instances} instances auc={auc_text}")
     return 0
 

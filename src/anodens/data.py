@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -191,11 +192,12 @@ def load_csv(path: str, label_column) -> Dataset:
                 )
             labels.append(_parse_label(row[label_idx], line_no))
             try:
-                rows.append(
-                    [float(v) for i, v in enumerate(row) if i != label_idx]
-                )
+                values = [float(v) for i, v in enumerate(row) if i != label_idx]
             except ValueError:
                 raise ValueError(f"non-numeric attribute value on line {line_no}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite attribute value on line {line_no}")
+            rows.append(values)
     if not rows:
         raise ValueError("zero data rows")
     names = tuple(n for i, n in enumerate(header) if i != label_idx)

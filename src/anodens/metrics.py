@@ -61,7 +61,7 @@ class ScoreReport:
     indices: np.ndarray  # original dataset row indices
     labels: np.ndarray
     scores: np.ndarray
-    auc: float
+    auc: float | None  # None when the rows hold only one class
     n_anomalies: int
     n_normals: int
 
@@ -82,18 +82,17 @@ class ScoreReport:
 
 
 def report_from_scores(indices, labels, scores) -> ScoreReport:
+    """Report over labeled scores; its auc is None when only one class is present."""
     indices = np.asarray(indices, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     anom = scores[labels == 1]
     norm = scores[labels == 0]
-    if anom.size == 0 or norm.size == 0:
-        raise ValueError("score report needs at least one anomaly and one normal")
     return ScoreReport(
         indices=indices,
         labels=labels,
         scores=scores,
-        auc=auc(anom, norm),
+        auc=auc(anom, norm) if anom.size and norm.size else None,
         n_anomalies=int(anom.size),
         n_normals=int(norm.size),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,15 @@ def _softplus(a: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, a)
 
 
-def _expit(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a, dtype=np.float64)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+def sigmoid(s):
+    """1 / (1 + exp(-s)), overflow-safe for arbitrarily large |s|."""
+    arr = np.asarray(s, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    es = np.exp(arr[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out if arr.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,6 @@ class MadeParams:
     head: str
     n_components: int
     masks: MaskSet
-    _out_masks_expanded: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_attributes(self) -> int:
@@ -165,14 +164,6 @@ class MadeParams:
             self.n_components,
             self.masks,
         )
-
-    def output_masks_expanded(self) -> np.ndarray:
-        """Output masks repeated across each attribute's head outputs: (M, H, D*P)."""
-        if self._out_masks_expanded is None:
-            self._out_masks_expanded = np.repeat(
-                self.masks.output_masks, self.head_width, axis=2
-            )
-        return self._out_masks_expanded
 
 
 def init_params(
@@ -209,6 +200,7 @@ class ForwardCache:
     """Intermediates of a full-ensemble forward pass, kept for backprop."""
 
     x: np.ndarray  # (B, D)
+    masked_w_out: np.ndarray  # (M, H, D * P) output weights under each member's mask
     pre: np.ndarray  # (M, B, H) hidden pre-activations
     hidden: np.ndarray  # (M, B, H)
     raw: np.ndarray  # (M, B, D, P)
@@ -235,24 +227,41 @@ def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
     return x
 
 
+def _members_forward(params: MadeParams, x: np.ndarray, members: slice = slice(None)):
+    """Run the selected ensemble members on a validated batch.
+
+    Returns (masked_w_out (M', H, D*P), pre (M', B, H), hidden (M', B, H),
+    raw (M', B, D, P)) for the M' members in `members`.
+    """
+    masks = params.masks
+    h, d, p = params.n_hidden, params.n_attributes, params.head_width
+    out_masks = masks.output_masks[members]  # (M', H, D)
+    n_members = out_masks.shape[0]
+    pre = np.matmul(x, params.w_in * masks.input_masks[members]) + params.b_in
+    hidden = np.maximum(pre, 0.0)
+    # one mask entry per (hidden unit, attribute) gates all P outputs of that attribute
+    masked_w_out = (params.w_out.reshape(h, d, p) * out_masks[..., None]).reshape(
+        n_members, h, d * p
+    )
+    raw = (np.matmul(hidden, masked_w_out) + params.b_out).reshape(n_members, x.shape[0], d, p)
+    return masked_w_out, pre, hidden, raw
+
+
+def _mixture_link(raw: np.ndarray, k: int):
+    """(log mixture weights, means, floored scales) from raw (..., 3K) head outputs."""
+    logits = raw[..., :k]
+    log_mix = logits - _logsumexp(logits, axis=-1)[..., None]
+    sigmas = _softplus(raw[..., 2 * k :]) + SIGMA_MIN
+    return log_mix, raw[..., k : 2 * k], sigmas
+
+
 def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
     """Run every ensemble member on a batch and assemble the mixture log-density."""
     x = _validate_input(x, params.n_attributes)
-    masks = params.masks
-    m, b = masks.n_members, x.shape[0]
-    d, p, k = params.n_attributes, params.head_width, params.n_components
-
-    masked_w_in = params.w_in[None, :, :] * masks.input_masks  # (M, D, H)
-    pre = np.matmul(x, masked_w_in) + params.b_in  # (M, B, H)
-    hidden = np.maximum(pre, 0.0)
-    masked_w_out = params.w_out[None, :, :] * params.output_masks_expanded()
-    raw = (np.matmul(hidden, masked_w_out) + params.b_out).reshape(m, b, d, p)
+    masked_w_out, pre, hidden, raw = _members_forward(params, x)
 
     if params.head == GAUSSIAN_MIXTURE:
-        logits = raw[..., :k]
-        means = raw[..., k : 2 * k]
-        sigmas = _softplus(raw[..., 2 * k :]) + SIGMA_MIN
-        log_mix = logits - _logsumexp(logits, axis=-1)[..., None]
+        log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         z = (x[None, :, :, None] - means) / sigmas
         log_norm = -0.5 * LOG_2PI - np.log(sigmas) - 0.5 * z * z
         scored = log_mix + log_norm  # (M, B, D, K)
@@ -270,13 +279,14 @@ def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
         # stable log-masses: log(phi) = -softplus(-t), log(1-phi) = -softplus(t)
         log_cond = -(x[None, :, :] * _softplus(-logit) + (1.0 - x[None, :, :]) * _softplus(logit))
         member_ld = log_cond.sum(axis=-1)
-        head_cache = dict(probs=_expit(logit))
+        head_cache = dict(probs=sigmoid(logit))
 
     total = _logsumexp(member_ld, axis=0)  # (B,)
     member_weight = np.exp(member_ld - total[None, :])
-    log_density = total - np.log(m)
+    log_density = total - np.log(params.masks.n_members)
     return ForwardCache(
         x=x,
+        masked_w_out=masked_w_out,
         pre=pre,
         hidden=hidden,
         raw=raw,
@@ -296,7 +306,7 @@ def backprop_log_density(
     """
     masks = params.masks
     m, b = masks.n_members, cache.x.shape[0]
-    d, p, k = params.n_attributes, params.head_width, params.n_components
+    h, d, p, k = params.n_hidden, params.n_attributes, params.head_width, params.n_components
     upstream = cache.member_weight * coeff[None, :]  # (M, B): d(obj)/d(member_ld)
 
     if params.head == GAUSSIAN_MIXTURE:
@@ -309,18 +319,17 @@ def backprop_log_density(
         g_means = weighted * diff * inv_sigma * inv_sigma
         g_sigma = weighted * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
         # scale raw feeds sigma through a softplus link
-        g_scale_raw = g_sigma * _expit(cache.raw[..., 2 * k :])
+        g_scale_raw = g_sigma * sigmoid(cache.raw[..., 2 * k :])
         raw_grad = np.concatenate([g_logits, g_means, g_scale_raw], axis=-1)
     else:
         g_logit = upstream[:, :, None] * (cache.x[None, :, :] - cache.probs)
         raw_grad = g_logit[..., None]
 
     raw_grad = raw_grad.reshape(m, b, d * p)
-    out_masks = params.output_masks_expanded()
-    masked_w_out = params.w_out[None, :, :] * out_masks
-    w_out_grad = (np.matmul(cache.hidden.transpose(0, 2, 1), raw_grad) * out_masks).sum(axis=0)
+    member_w_out_grad = np.matmul(cache.hidden.transpose(0, 2, 1), raw_grad).reshape(m, h, d, p)
+    w_out_grad = (member_w_out_grad * masks.output_masks[..., None]).sum(axis=0).reshape(h, d * p)
     b_out_grad = raw_grad.sum(axis=(0, 1))
-    hidden_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
+    hidden_grad = np.matmul(raw_grad, cache.masked_w_out.transpose(0, 2, 1))
     pre_grad = hidden_grad * (cache.pre > 0.0)
     w_in_grad = (np.matmul(cache.x.T[None, :, :], pre_grad) * masks.input_masks).sum(axis=0)
     b_in_grad = pre_grad.sum(axis=(0, 1))
@@ -335,22 +344,16 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
     masks = params.masks
     if not 0 <= mask_index < masks.n_members:
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
-    d, p, k = params.n_attributes, params.head_width, params.n_components
-    pre = x @ (params.w_in * masks.input_masks[mask_index]) + params.b_in
-    hidden = np.maximum(pre, 0.0)
-    out_mask = np.repeat(masks.output_masks[mask_index], p, axis=1)
-    raw = (hidden @ (params.w_out * out_mask) + params.b_out).reshape(d, p)
+    raw = _members_forward(params, x, slice(mask_index, mask_index + 1))[3][0, 0]  # (D, P)
     if params.head == GAUSSIAN_MIXTURE:
-        logits = raw[:, :k]
-        log_mix = logits - _logsumexp(logits, axis=-1)[:, None]
-        sigmas = _softplus(raw[:, 2 * k :]) + SIGMA_MIN
+        log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(
             head=GAUSSIAN_MIXTURE,
             mixture_weights=np.exp(log_mix),
-            means=raw[:, k : 2 * k].copy(),
+            means=means.copy(),
             variances=sigmas * sigmas,
         )
-    probs = _expit(raw[:, 0])
+    probs = sigmoid(raw[:, 0])
     # keep the open-interval contract even when the logit saturates in float64
     probs = np.clip(probs, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return ConditionalParams(head=BERNOULLI, bernoulli_probs=probs)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MadeParams, backprop_log_density, forward_ensemble
+from .model import MadeParams, backprop_log_density, forward_ensemble, sigmoid
 
 
 @dataclass
@@ -39,17 +39,6 @@ class LabeledBatch:
     @property
     def n_anomalies(self) -> int:
         return self.anomalies.shape[0] if self.anomalies.size else 0
-
-
-def sigmoid(s):
-    """1 / (1 + exp(-s)), overflow-safe for arbitrarily large |s|."""
-    arr = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    es = np.exp(arr[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out if arr.ndim else float(out)
 
 
 def normal_loglik(params: MadeParams, normals: np.ndarray) -> float:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from anodens.cli import main
+from anodens.data import load_csv
+from anodens.model import anomaly_score_batch, load_model
 from anodens.synth import make_tabular_benchmark
 
 
@@ -55,6 +57,50 @@ class TestTrainScore:
         assert lines[0] == "lambda,best_epoch,best_val_auc,chosen"
         assert len(lines) == 3
         assert sum(line.endswith(",1") for line in lines[1:]) == 1
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    data = write_benchmark_csv(root / "d.csv")
+    rc = main(["train", "--data", data, "--out", str(root / "run"), "--seed", "0", *FAST])
+    assert rc == 0
+    return root / "d.csv", root / "run" / "model.bin"
+
+
+class TestScoreInputs:
+    def test_normals_only_csv_scores_without_auc(self, trained_model, tmp_path, capsys):
+        data, model_path = trained_model
+        lines = data.read_text().splitlines()
+        path = tmp_path / "normals.csv"
+        path.write_text("\n".join([lines[0]] + [l for l in lines[1:] if l.endswith(",0")]) + "\n")
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(path),
+                   "--out", str(out), "--roc"])
+        assert rc == 0
+        assert "auc=n/a" in capsys.readouterr().out
+        summary = json.loads((out / "score_summary.json").read_text())
+        assert summary == {"auc": None, "n_anomalies": 0, "n_normals": 80}
+        assert not (out / "roc.tsv").exists()
+        params, stats = load_model(str(model_path))
+        scores = anomaly_score_batch(params, stats.apply(load_csv(str(path), "label").attributes))
+        expected = "index,label,score\n" + "".join(
+            f"{i},0,{float(s)!r}\n" for i, s in enumerate(scores)
+        )
+        assert (out / "scores.csv").read_text() == expected
+
+    def test_swapped_columns_rejected(self, trained_model, tmp_path, capsys):
+        data, model_path = trained_model
+        rows = [line.split(",") for line in data.read_text().splitlines()]
+        path = tmp_path / "swapped.csv"
+        path.write_text("".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows))
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: attribute 0 is")
+        assert "\n" not in err
+        assert not (out / "scores.csv").exists()
 
 
 class TestExperiment:

@@ -85,6 +85,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="ragged"):
             load_csv(str(path), "label")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, token):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n1,2,0\n1,{token},0\n")
+        with pytest.raises(ValueError, match="non-finite attribute value on line 3"):
+            load_csv(str(path), "label")
+
     def test_bad_label_value(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "label"], [[1.0, 2]])
         with pytest.raises(ValueError, match="label"):

@@ -176,6 +176,29 @@ class TestLogDensity:
         assert (cache.log_density >= lower - 1e-12).all()
         assert (cache.log_density <= upper + 1e-12).all()
 
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("n_attributes", [3, 8])
+    def test_member_conditionals_sum_to_member_logdensity(self, head, n_attributes):
+        params = tiny_params(head=head, seed=n_attributes, n_attributes=n_attributes,
+                             n_hidden=16, n_components=3, noise=0.5)
+        x = np.random.default_rng(7).uniform(size=n_attributes)
+        if head == BERNOULLI:
+            x = (x > 0.5).astype(float)
+        cache = forward_ensemble(params, x)
+        for member in range(params.masks.n_members):
+            cond = forward_conditionals(params, x, member)
+            if head == GAUSSIAN_MIXTURE:
+                comps = np.log(cond.mixture_weights) + gaussian_logpdf(
+                    x[:, None], cond.means, cond.variances
+                )
+                log_cond = np.logaddexp.reduce(comps, axis=1)
+            else:
+                phi = cond.bernoulli_probs
+                log_cond = np.where(x == 1.0, np.log(phi), np.log1p(-phi))
+            assert log_cond.sum() == pytest.approx(
+                cache.member_logdensity[member, 0], rel=0, abs=1e-12
+            )
+
     def test_finite_for_extreme_weights(self):
         params = tiny_params(seed=5, noise=0.0)
         for arr in params.trainable().values():
