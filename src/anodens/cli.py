@@ -19,6 +19,7 @@ from . import data as datamod
 from . import metrics, synth
 from .baselines import fit_gaussian, fit_knn, gaussian_score_batch, knn_score_batch
 from .model import (
+    BERNOULLI,
     anomaly_score_batch,
     build_masks,
     choose_head,
@@ -175,6 +176,18 @@ def _check_attribute_names(found, expected) -> None:
             raise ValueError(f"attribute {pos} is {have!r} in the data but {want!r} in the model")
 
 
+def _check_binary(attributes, names, path) -> None:
+    """Fail at the first attribute value a Bernoulli head cannot score."""
+    bad = np.argwhere((attributes != 0.0) & (attributes != 1.0))
+    if bad.size:
+        row, col = bad[0]
+        line = datamod.csv_line_numbers(path)[row]
+        raise ValueError(
+            f"attribute {names[col]} holds non-binary value {float(attributes[row, col])!r} "
+            f"on line {line}"
+        )
+
+
 def cmd_score(args) -> int:
     _require(args, "model", "data", "out")
     out = Path(args.out)
@@ -185,6 +198,8 @@ def cmd_score(args) -> int:
     if stats is not None:
         _check_attribute_names(ds.attribute_names, stats.attribute_names)
         attributes = stats.apply(attributes)
+    if params.head == BERNOULLI:
+        _check_binary(attributes, ds.attribute_names, args.data)
     scores = anomaly_score_batch(params, attributes)
     report = metrics.report_from_scores(np.arange(ds.n_instances), ds.labels, scores)
     report.write_csv(str(out / "scores.csv"))

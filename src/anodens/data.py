@@ -211,6 +211,12 @@ def load_csv(path: str, label_column) -> Dataset:
     return Dataset(attributes, np.array(labels), names, kinds)
 
 
+def csv_line_numbers(path: str) -> list[int]:
+    """File line number of each data row that load_csv keeps (blank lines are skipped)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [n for n, row in enumerate(csv.reader(fh), start=1) if n > 1 and row]
+
+
 def normalize_minmax(ds: Dataset) -> tuple[Dataset, NormStats]:
     """Linearly map every continuous column onto [0, 1]; binary columns pass through.
 

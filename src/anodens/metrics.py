@@ -42,16 +42,28 @@ def auc(anomaly_scores, normal_scores) -> float:
 
 
 def roc_points(anomaly_scores, normal_scores) -> np.ndarray:
-    """(threshold, fpr, tpr) rows with thresholds descending, for plotting."""
+    """(threshold, fpr, tpr) rows with thresholds descending, for plotting.
+
+    The first row is (inf, 0, 0); each distinct score is then one threshold t,
+    with the shares of anomalies and normals scoring >= t.  One sort plus
+    cumulative counts, O(n log n).
+    """
     anomaly_scores = np.asarray(anomaly_scores, dtype=np.float64)
     normal_scores = np.asarray(normal_scores, dtype=np.float64)
-    thresholds = np.unique(np.concatenate([anomaly_scores, normal_scores]))[::-1]
-    rows = [(np.inf, 0.0, 0.0)]
-    for t in thresholds:
-        tpr = float((anomaly_scores >= t).mean())
-        fpr = float((normal_scores >= t).mean())
-        rows.append((float(t), fpr, tpr))
-    return np.array(rows)
+    n_anom = anomaly_scores.size
+    thresholds, group = np.unique(
+        np.concatenate([anomaly_scores, normal_scores]), return_inverse=True
+    )
+    n_groups = thresholds.size
+    # scores >= the i-th largest threshold: counts accumulated from the top group down
+    tp = np.cumsum(np.bincount(group[:n_anom], minlength=n_groups)[::-1])
+    fp = np.cumsum(np.bincount(group[n_anom:], minlength=n_groups)[::-1])
+    rows = np.empty((n_groups + 1, 3))
+    rows[0] = (np.inf, 0.0, 0.0)
+    rows[1:, 0] = thresholds[::-1]
+    rows[1:, 1] = fp / normal_scores.size
+    rows[1:, 2] = tp / n_anom
+    return rows
 
 
 @dataclass

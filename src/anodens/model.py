@@ -34,17 +34,16 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _softplus(a: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, a)
+    """log(1 + exp(a)); exp only ever sees -|a|, so it cannot overflow."""
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
 
 def sigmoid(s):
     """1 / (1 + exp(-s)), overflow-safe for arbitrarily large |s|."""
     arr = np.asarray(s, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    es = np.exp(arr[~pos])
-    out[~pos] = es / (1.0 + es)
+    # exp(-|s|) is exp(-s) for s >= 0 and exp(s) otherwise
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
     return out if arr.ndim else float(out)
 
 
@@ -132,6 +131,7 @@ class MadeParams:
 
     w_in: np.ndarray  # (D, H)
     b_in: np.ndarray  # (H,)
+    # stored column d * head_width + j is raw output j of attribute d
     w_out: np.ndarray  # (H, D * head_width)
     b_out: np.ndarray  # (D * head_width,)
     head: str
@@ -197,18 +197,22 @@ def choose_head(attribute_kinds) -> str:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of a full-ensemble forward pass, kept for backprop."""
+    """Intermediates of a full-ensemble forward pass, kept for backprop.
+
+    Output-layer arrays are head-major, (..., P, D): attribute is the
+    innermost, contiguous axis.
+    """
 
     x: np.ndarray  # (B, D)
-    masked_w_out: np.ndarray  # (M, H, D * P) output weights under each member's mask
+    masked_w_out: np.ndarray  # (M, H, P, D) output weights under each member's mask
     pre: np.ndarray  # (M, B, H) hidden pre-activations
     hidden: np.ndarray  # (M, B, H)
-    raw: np.ndarray  # (M, B, D, P)
+    raw: np.ndarray  # (M, B, P, D)
     member_logdensity: np.ndarray  # (M, B)
     member_weight: np.ndarray  # (M, B) softmax of member log-densities
     log_density: np.ndarray  # (B,)
     # gaussian head intermediates (None for bernoulli)
-    mix_weights: np.ndarray | None = None  # (M, B, D, K)
+    mix_weights: np.ndarray | None = None  # (M, B, K, D)
     means: np.ndarray | None = None
     sigmas: np.ndarray | None = None
     responsibilities: np.ndarray | None = None  # softmax over components
@@ -230,8 +234,11 @@ def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
 def _members_forward(params: MadeParams, x: np.ndarray, members: slice = slice(None)):
     """Run the selected ensemble members on a validated batch.
 
-    Returns (masked_w_out (M', H, D*P), pre (M', B, H), hidden (M', B, H),
-    raw (M', B, D, P)) for the M' members in `members`.
+    Returns (masked_w_out (M', H, P, D), pre (M', B, H), hidden (M', B, H),
+    raw (M', B, P, D)) for the M' members in `members`.  The output layer is
+    computed head-major: stored column d*P + j of w_out and b_out is element
+    [j, d] here, so each (hidden unit, attribute) mask row gates a contiguous
+    D-long run of weights for every head output j.
     """
     masks = params.masks
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
@@ -239,20 +246,19 @@ def _members_forward(params: MadeParams, x: np.ndarray, members: slice = slice(N
     n_members = out_masks.shape[0]
     pre = np.matmul(x, params.w_in * masks.input_masks[members]) + params.b_in
     hidden = np.maximum(pre, 0.0)
-    # one mask entry per (hidden unit, attribute) gates all P outputs of that attribute
-    masked_w_out = (params.w_out.reshape(h, d, p) * out_masks[..., None]).reshape(
-        n_members, h, d * p
-    )
-    raw = (np.matmul(hidden, masked_w_out) + params.b_out).reshape(n_members, x.shape[0], d, p)
-    return masked_w_out, pre, hidden, raw
+    w_out = np.ascontiguousarray(params.w_out.reshape(h, d, p).transpose(0, 2, 1))
+    masked_w_out = w_out * out_masks[:, :, None, :]
+    b_out = params.b_out.reshape(d, p).T.ravel()
+    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d)) + b_out
+    return masked_w_out, pre, hidden, raw.reshape(n_members, x.shape[0], p, d)
 
 
 def _mixture_link(raw: np.ndarray, k: int):
-    """(log mixture weights, means, floored scales) from raw (..., 3K) head outputs."""
-    logits = raw[..., :k]
-    log_mix = logits - _logsumexp(logits, axis=-1)[..., None]
-    sigmas = _softplus(raw[..., 2 * k :]) + SIGMA_MIN
-    return log_mix, raw[..., k : 2 * k], sigmas
+    """(log mixture weights, means, floored scales), each (..., K, D), from raw (..., 3K, D)."""
+    logits = raw[..., :k, :]
+    log_mix = logits - _logsumexp(logits, axis=-2)[..., None, :]
+    sigmas = _softplus(raw[..., 2 * k :, :]) + SIGMA_MIN
+    return log_mix, raw[..., k : 2 * k, :], sigmas
 
 
 def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
@@ -262,11 +268,11 @@ def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
 
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
-        z = (x[None, :, :, None] - means) / sigmas
+        z = (x[None, :, None, :] - means) / sigmas
         log_norm = -0.5 * LOG_2PI - np.log(sigmas) - 0.5 * z * z
-        scored = log_mix + log_norm  # (M, B, D, K)
-        log_cond = _logsumexp(scored, axis=-1)  # (M, B, D)
-        responsibilities = np.exp(scored - log_cond[..., None])
+        scored = log_mix + log_norm  # (M, B, K, D)
+        log_cond = _logsumexp(scored, axis=-2)  # (M, B, D)
+        responsibilities = np.exp(scored - log_cond[..., None, :])
         member_ld = log_cond.sum(axis=-1)  # (M, B)
         head_cache = dict(
             mix_weights=np.exp(log_mix),
@@ -275,7 +281,7 @@ def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
             responsibilities=responsibilities,
         )
     else:
-        logit = raw[..., 0]  # (M, B, D)
+        logit = raw[..., 0, :]  # (M, B, D)
         # stable log-masses: log(phi) = -softplus(-t), log(1-phi) = -softplus(t)
         log_cond = -(x[None, :, :] * _softplus(-logit) + (1.0 - x[None, :, :]) * _softplus(logit))
         member_ld = log_cond.sum(axis=-1)
@@ -312,24 +318,27 @@ def backprop_log_density(
     if params.head == GAUSSIAN_MIXTURE:
         u = upstream[:, :, None, None]
         resp = cache.responsibilities
-        weighted = u * resp  # (M, B, D, K)
-        diff = cache.x[None, :, :, None] - cache.means
+        weighted = u * resp  # (M, B, K, D)
+        diff = cache.x[None, :, None, :] - cache.means
         inv_sigma = 1.0 / cache.sigmas
         g_logits = u * (resp - cache.mix_weights)
         g_means = weighted * diff * inv_sigma * inv_sigma
         g_sigma = weighted * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
         # scale raw feeds sigma through a softplus link
-        g_scale_raw = g_sigma * sigmoid(cache.raw[..., 2 * k :])
-        raw_grad = np.concatenate([g_logits, g_means, g_scale_raw], axis=-1)
+        g_scale_raw = g_sigma * sigmoid(cache.raw[..., 2 * k :, :])
+        raw_grad = np.concatenate([g_logits, g_means, g_scale_raw], axis=-2)
     else:
         g_logit = upstream[:, :, None] * (cache.x[None, :, :] - cache.probs)
-        raw_grad = g_logit[..., None]
+        raw_grad = g_logit[:, :, None, :]
 
-    raw_grad = raw_grad.reshape(m, b, d * p)
-    member_w_out_grad = np.matmul(cache.hidden.transpose(0, 2, 1), raw_grad).reshape(m, h, d, p)
-    w_out_grad = (member_w_out_grad * masks.output_masks[..., None]).sum(axis=0).reshape(h, d * p)
-    b_out_grad = raw_grad.sum(axis=(0, 1))
-    hidden_grad = np.matmul(raw_grad, cache.masked_w_out.transpose(0, 2, 1))
+    raw_grad = raw_grad.reshape(m, b, p * d)
+    member_w_out_grad = np.matmul(cache.hidden.transpose(0, 2, 1), raw_grad).reshape(m, h, p, d)
+    # both output gradients go back from the (P, D) compute order to the stored d*P + j columns
+    w_out_grad = np.einsum("mhpd,mhd->hdp", member_w_out_grad, masks.output_masks)
+    w_out_grad = w_out_grad.reshape(h, d * p)
+    b_out_grad = raw_grad.sum(axis=(0, 1)).reshape(p, d).T.ravel()
+    masked_w_out = cache.masked_w_out.reshape(m, h, p * d)
+    hidden_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
     pre_grad = hidden_grad * (cache.pre > 0.0)
     w_in_grad = (np.matmul(cache.x.T[None, :, :], pre_grad) * masks.input_masks).sum(axis=0)
     b_in_grad = pre_grad.sum(axis=(0, 1))
@@ -344,16 +353,16 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
     masks = params.masks
     if not 0 <= mask_index < masks.n_members:
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
-    raw = _members_forward(params, x, slice(mask_index, mask_index + 1))[3][0, 0]  # (D, P)
+    raw = _members_forward(params, x, slice(mask_index, mask_index + 1))[3][0, 0]  # (P, D)
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(
             head=GAUSSIAN_MIXTURE,
-            mixture_weights=np.exp(log_mix),
-            means=means.copy(),
-            variances=sigmas * sigmas,
+            mixture_weights=np.exp(log_mix.T),
+            means=means.T.copy(),
+            variances=(sigmas * sigmas).T,
         )
-    probs = sigmoid(raw[:, 0])
+    probs = sigmoid(raw[0])
     # keep the open-interval contract even when the logit saturates in float64
     probs = np.clip(probs, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return ConditionalParams(head=BERNOULLI, bernoulli_probs=probs)
@@ -417,24 +426,41 @@ def load_model(path: str):
         header = json.loads(bytes(payload["header_json"]).decode())
         if header["format_version"] != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {header['format_version']}")
+        head, k = header["head"], int(header["n_components"])
+        if head not in (GAUSSIAN_MIXTURE, BERNOULLI):
+            raise ValueError(f"model file has unknown head {head!r}")
+        if head == GAUSSIAN_MIXTURE and k < 1:
+            raise ValueError(f"model file mixture head has {k} components")
+        d, h = header["n_attributes"], header["n_hidden"]
+        width = d * (3 * k if head == GAUSSIAN_MIXTURE else 1)
+        expected = {"w_in": (d, h), "b_in": (h,), "w_out": (h, width), "b_out": (width,)}
+        if header["has_norm_stats"]:
+            expected.update(norm_mins=(d,), norm_maxs=(d,))
+        # the head-major forward reshapes w_out and b_out by this layout
+        arrays = {name: payload[name] for name in expected}
+        for name, shape in expected.items():
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"model file array {name} has shape {arrays[name].shape}, expected {shape}"
+                )
         masks = build_masks(
-            header["n_attributes"],
-            header["n_hidden"],
+            d,
+            h,
             header["n_orderings"],
             header["n_masks_per_ordering"],
             header["mask_seed"],
         )
         params = MadeParams(
-            w_in=payload["w_in"],
-            b_in=payload["b_in"],
-            w_out=payload["w_out"],
-            b_out=payload["b_out"],
-            head=header["head"],
-            n_components=int(header["n_components"]),
+            w_in=arrays["w_in"],
+            b_in=arrays["b_in"],
+            w_out=arrays["w_out"],
+            b_out=arrays["b_out"],
+            head=head,
+            n_components=k,
             masks=masks,
         )
         stats = None
         if header["has_norm_stats"]:
             names = tuple(json.loads(bytes(payload["norm_names"]).decode()))
-            stats = NormStats(names, payload["norm_mins"], payload["norm_maxs"])
+            stats = NormStats(names, arrays["norm_mins"], arrays["norm_maxs"])
     return params, stats

@@ -1,10 +1,10 @@
-"""Shared test oracles: finite differences, quadrature, brute-force AUC."""
+"""Shared test oracles: finite differences, quadrature, brute-force AUC, loop references."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from anodens.model import GAUSSIAN_MIXTURE, build_masks, init_params
+from anodens.model import GAUSSIAN_MIXTURE, SIGMA_MIN, build_masks, init_params
 from anodens.objective import LabeledBatch, ObjectiveConfig, objective_value
 
 FD_STEP = 1e-5
@@ -100,3 +100,55 @@ def trapezoid_mixture_mass(weights, means, variances, n_points=10001, tail=8.0):
 
 def gaussian_logpdf(x, mean, variance):
     return -0.5 * (np.log(2.0 * np.pi * variance) + (x - mean) ** 2 / variance)
+
+
+def roc_points_loop(anomaly_scores, normal_scores):
+    """One full scan per distinct threshold, highest first, after an (inf, 0, 0) row."""
+    anomaly_scores = np.asarray(anomaly_scores, dtype=np.float64)
+    normal_scores = np.asarray(normal_scores, dtype=np.float64)
+    thresholds = np.unique(np.concatenate([anomaly_scores, normal_scores]))[::-1]
+    rows = [(np.inf, 0.0, 0.0)]
+    for t in thresholds:
+        tpr = float((anomaly_scores >= t).mean())
+        fpr = float((normal_scores >= t).mean())
+        rows.append((float(t), fpr, tpr))
+    return np.array(rows)
+
+
+def sigmoid_two_branch(s):
+    """1 / (1 + exp(-s)) for s >= 0 and exp(s) / (1 + exp(s)) below, by boolean indexing."""
+    arr = np.asarray(s, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    es = np.exp(arr[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out if arr.ndim else float(out)
+
+
+def reference_log_density(params, x):
+    """Ensemble log-density by a plain loop over members in the stored (D, P) column order.
+
+    Column d * P + j of w_out and b_out is raw output j of attribute d; the
+    raw outputs of attribute d are logits, means and softplus scales (mixture)
+    or one logit (Bernoulli).
+    """
+    masks = params.masks
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    d, p, k = params.n_attributes, params.head_width, params.n_components
+    member_ld = []
+    for m in range(masks.n_members):
+        hidden = np.maximum(x @ (params.w_in * masks.input_masks[m]) + params.b_in, 0.0)
+        out_mask = np.repeat(masks.output_masks[m], p, axis=1)  # (H, D * P)
+        raw = (hidden @ (params.w_out * out_mask) + params.b_out).reshape(len(x), d, p)
+        if params.head == GAUSSIAN_MIXTURE:
+            logits = raw[:, :, :k]
+            log_mix = logits - np.logaddexp.reduce(logits, axis=2, keepdims=True)
+            sigmas = np.logaddexp(0.0, raw[:, :, 2 * k :]) + SIGMA_MIN
+            comps = log_mix + gaussian_logpdf(x[:, :, None], raw[:, :, k : 2 * k], sigmas**2)
+            log_cond = np.logaddexp.reduce(comps, axis=2)
+        else:
+            logit = raw[:, :, 0]
+            log_cond = -np.where(x == 1.0, np.logaddexp(0.0, -logit), np.logaddexp(0.0, logit))
+        member_ld.append(log_cond.sum(axis=1))
+    return np.logaddexp.reduce(np.array(member_ld), axis=0) - np.log(masks.n_members)

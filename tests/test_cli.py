@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from anodens.cli import main
-from anodens.data import load_csv
-from anodens.model import anomaly_score_batch, load_model
+from anodens.data import NormStats, load_csv
+from anodens.model import BERNOULLI, anomaly_score_batch, load_model, save_model
 from anodens.synth import make_tabular_benchmark
+
+from helpers import tiny_params
 
 
 FAST = [
@@ -100,6 +102,22 @@ class TestScoreInputs:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: attribute 0 is")
         assert "\n" not in err
+        assert not (out / "scores.csv").exists()
+
+
+    def test_non_binary_value_rejected_by_bernoulli_model(self, tmp_path, capsys):
+        model_path = tmp_path / "model.bin"
+        stats = NormStats(("a", "b", "c"), np.zeros(3), np.ones(3))
+        save_model(str(model_path), tiny_params(head=BERNOULLI, seed=1), stats)
+        path = tmp_path / "mixed.csv"
+        # the blank line 3 still counts, as load_csv counts lines
+        path.write_text("a,b,c,label\n1,0,1,0\n\n0,1,1,1\n1,0.5,0,0\n")
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: attribute b holds non-binary value 0.5 on line 5\n"
+        )
         assert not (out / "scores.csv").exists()
 
 

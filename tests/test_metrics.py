@@ -7,7 +7,7 @@ from anodens.metrics import auc, evaluate, report_from_scores, roc_points
 from anodens.data import CONTINUOUS, Dataset
 from anodens.model import BERNOULLI, build_masks, init_params
 
-from helpers import auc_double_loop, tiny_params
+from helpers import auc_double_loop, roc_points_loop, tiny_params
 
 
 class TestAuc:
@@ -113,3 +113,14 @@ class TestReports:
         assert (np.diff(pts[:, 1]) >= 0).all()
         assert (np.diff(pts[:, 2]) >= 0).all()
         assert pts[-1, 1] == 1.0 and pts[-1, 2] == 1.0
+
+    def test_roc_points_match_threshold_scan_with_ties(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            # a coarse grid plants heavy ties within and across the two classes
+            anoms = rng.integers(-6, 6, size=rng.integers(1, 40)) / 4.0
+            norms = rng.integers(-6, 6, size=rng.integers(1, 60)) / 4.0
+            pts = roc_points(anoms, norms)
+            expected = roc_points_loop(anoms, norms)
+            assert pts.dtype == np.float64
+            np.testing.assert_array_equal(pts, expected)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from anodens import model
 from anodens.model import (
     BERNOULLI,
     GAUSSIAN_MIXTURE,
@@ -17,7 +20,7 @@ from anodens.model import (
     save_model,
 )
 
-from helpers import gaussian_logpdf, tiny_params, trapezoid_mixture_mass
+from helpers import gaussian_logpdf, reference_log_density, tiny_params, trapezoid_mixture_mass
 
 
 def connectivity_paths(masks, member):
@@ -115,6 +118,34 @@ class TestForwardConditionals:
         assert (cond.mixture_weights >= 0).all()
         assert (cond.variances >= SIGMA_MIN**2).all()
 
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    def test_single_b_out_column_moves_one_parameter(self, head):
+        # stored column d*P + j must reach attribute d's raw output j and nothing else
+        params = tiny_params(head=head, seed=9, n_attributes=4, n_hidden=8, n_components=3)
+        x = np.random.default_rng(2).uniform(size=4)
+        base = forward_conditionals(params, x, 1)
+        k = params.n_components
+        for d in range(params.n_attributes):
+            for j in range(params.head_width):
+                moved = params.copy()
+                moved.b_out[d * params.head_width + j] += 0.7
+                cond = forward_conditionals(moved, x, 1)
+                if head == BERNOULLI:
+                    changed = cond.bernoulli_probs != base.bernoulli_probs
+                    assert np.flatnonzero(changed).tolist() == [d]
+                    assert cond.bernoulli_probs[d] > base.bernoulli_probs[d]
+                    continue
+                group, comp = divmod(j, k)
+                # logits move every weight of attribute d through the softmax
+                rows = cond.mixture_weights != base.mixture_weights
+                assert np.flatnonzero(rows.any(axis=1)).tolist() == ([d] if group == 0 else [])
+                if group == 0:
+                    assert cond.mixture_weights[d, comp] > base.mixture_weights[d, comp]
+                for g, name in ((1, "means"), (2, "variances")):
+                    changed = getattr(cond, name) != getattr(base, name)
+                    want = [(d, comp)] if group == g else []
+                    assert list(map(tuple, np.argwhere(changed).tolist())) == want
+
     def test_rejects_bad_inputs(self):
         params = tiny_params(seed=0)
         with pytest.raises(ValueError, match="non-finite"):
@@ -199,6 +230,19 @@ class TestLogDensity:
                 cache.member_logdensity[member, 0], rel=0, abs=1e-12
             )
 
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("n_attributes", [3, 8])
+    def test_matches_member_loop_reference(self, head, n_attributes):
+        params = tiny_params(head=head, seed=20 + n_attributes, n_attributes=n_attributes,
+                             n_hidden=16, n_components=3, noise=0.5)
+        x = np.random.default_rng(5).uniform(size=(9, n_attributes))
+        if head == BERNOULLI:
+            x = (x > 0.5).astype(float)
+        np.testing.assert_allclose(
+            forward_ensemble(params, x).log_density, reference_log_density(params, x),
+            rtol=1e-12, atol=1e-12,
+        )
+
     def test_finite_for_extreme_weights(self):
         params = tiny_params(seed=5, noise=0.0)
         for arr in params.trainable().values():
@@ -266,3 +310,43 @@ class TestPersistence:
         loaded, stats = load_model(str(path))
         assert stats is None
         assert loaded.head == BERNOULLI
+
+    @pytest.mark.parametrize("case", ["truncated_w_out", "unknown_head", "no_components"])
+    def test_rejects_file_that_contradicts_its_header(self, tmp_path, case):
+        params = tiny_params(seed=3)
+        header = {
+            "format_version": model.MODEL_FORMAT_VERSION, "head": params.head,
+            "n_components": params.n_components, "n_attributes": 3, "n_hidden": 5,
+            "n_orderings": 2, "n_masks_per_ordering": 2, "mask_seed": 3,
+            "has_norm_stats": False,
+        }
+        arrays = dict(params.trainable())
+        if case == "truncated_w_out":
+            arrays["w_out"] = params.w_out[:, :-1]
+            match = r"^model file array w_out has shape \(5, 17\), expected \(5, 18\)$"
+        elif case == "unknown_head":
+            header["head"] = "poisson"
+            match = r"^model file has unknown head 'poisson'$"
+        else:
+            header["n_components"] = 0
+            match = r"^model file mixture head has 0 components$"
+        path = tmp_path / "model.bin"
+        with open(path, "wb") as fh:
+            np.savez(fh, header_json=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                     **arrays)
+        with pytest.raises(ValueError, match=match):
+            load_model(str(path))
+
+
+class TestSoftplus:
+    def test_within_two_ulp_of_logaddexp_and_finite(self):
+        a = np.concatenate([
+            np.linspace(-50.0, 50.0, 10001),
+            [0.0, -0.0, 745.0, -745.0, 1e6, -1e6, 1e300, -1e300, 1e308, -1e308],
+            np.random.default_rng(0).normal(scale=30.0, size=1000),
+        ])
+        with np.errstate(over="raise"):
+            got = model._softplus(a)
+        ref = np.logaddexp(0.0, a)
+        assert np.isfinite(got).all()
+        assert (np.abs(got - ref) <= 2 * np.spacing(ref)).all()

@@ -17,7 +17,7 @@ from anodens.objective import (
     sigmoid,
 )
 
-from helpers import fd_gradient, max_rel_err, random_batch, tiny_params
+from helpers import fd_gradient, max_rel_err, random_batch, sigmoid_two_branch, tiny_params
 
 
 class TestSigmoid:
@@ -34,6 +34,18 @@ class TestSigmoid:
     def test_log_three(self):
         # 1 / (1 + 1/3) = 3/4
         assert sigmoid(np.log(3.0)) == pytest.approx(0.75, abs=1e-15)
+
+    def test_matches_two_branch_formula_bit_for_bit(self):
+        grid = np.concatenate([
+            np.linspace(-50.0, 50.0, 2001),
+            [0.0, -0.0, 745.0, -745.0, 1e6, -1e6, 1e-300, -1e-300],
+        ])
+        assert np.array_equal(sigmoid(grid), sigmoid_two_branch(grid))
+        for s in (0.0, -745.0, 745.0, 1e6, -1e6, 3.5):
+            value = sigmoid(s)
+            assert type(value) is float
+            assert value == sigmoid_two_branch(s)
+            assert sigmoid(np.array(s)) == value  # 0-d input
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1e6, 1e6, allow_nan=False))
