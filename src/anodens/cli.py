@@ -1,9 +1,9 @@
 """Command-line pipeline: data prep, training, lambda sweeps, scoring, experiments.
 
-Options resolve in three layers: built-in defaults, then a key=value config
-file (--config), then same-named command-line flags.  All randomness flows
-from the seed options; substream seeds are derived by fixed offsets
-(split=seed, masks=1000+seed, weights=2000+seed, shuffles=seed).
+Each option is declared once, with its type and default, on the argparse parser.
+A key=value config file (--config) names flags without `--` and is parsed ahead
+of the command line, so flags override it.  All randomness flows from the seed
+options: split=seed, masks=1000+seed, weights=2000+seed, shuffles=seed.
 """
 
 from __future__ import annotations
@@ -31,77 +31,50 @@ from .training import DEFAULT_LAMBDA_GRID, TrainConfig, sweep_lambda, train
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not values:
-        raise ValueError("empty lambda grid")
+        raise argparse.ArgumentTypeError("empty lambda grid")
     return values
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    text = str(text)
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(range(int(lo), int(hi) + 1))
+    else:
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("empty seed list")
+    return values
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-# option name -> (converter, default); shared across subcommands
-_OPTIONS = {
-    "label": (str, "label"),
-    "epochs": (int, 100),
-    "lr": (float, 1e-3),
-    "batch_size": (int, 64),
-    "patience": (int, 10),
-    "hidden": (int, 500),
-    "components": (int, 3),
-    "masks": (int, 10),
-    "orderings": (int, 10),
-    "train_anoms": (int, 3),
-    "val_anoms": (int, 3),
-    "lambda_grid": (_parse_grid, DEFAULT_LAMBDA_GRID),
-    "seeds": (_parse_seeds, tuple(range(10))),
-    "seed": (int, 0),
-    "knn_k": (int, 5),
-    "lam": (float, 0.0),
-}
-
-
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str) -> list[str]:
+    """One `--key=value` token per `key=value` line; `_` in a key reads as `-`."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line {line_no}: expected key=value")
+                raise ValueError(f"config {path}: line {line_no} is not key=value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    for name, (convert, default) in _OPTIONS.items():
-        if not hasattr(args, name):
-            continue
+def _output_dir(args, *required) -> Path:
+    """Check that the required options and --out are set, then create --out."""
+    for name in (*required, "out"):
         if getattr(args, name) is None:
-            raw = config.get(name)
-            setattr(args, name, convert(raw) if raw is not None else default)
-    for name in ("data", "out", "scenario", "model"):
-        if hasattr(args, name) and getattr(args, name) is None and name in config:
-            setattr(args, name, config[name])
-    return args
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+            raise ValueError(f"missing required option --{name}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _prepare_dataset(args):
@@ -110,8 +83,13 @@ def _prepare_dataset(args):
     return datamod.normalize_minmax(ds)
 
 
-def _train_config(args, seed: int) -> TrainConfig:
-    return TrainConfig(
+def _seeded_run(ds, args, seed: int):
+    """The split, fresh model and training config of one seed."""
+    bundle = datamod.split(ds, seed, args.train_anoms, args.val_anoms)
+    masks = build_masks(ds.n_attributes, args.hidden, args.orderings, args.masks, 1000 + seed)
+    head = choose_head(ds.attribute_kinds)
+    init = init_params(masks, head=head, n_components=args.components, seed=2000 + seed)
+    cfg = TrainConfig(
         learning_rate=args.lr,
         max_epochs=args.epochs,
         batch_size=args.batch_size,
@@ -119,24 +97,13 @@ def _train_config(args, seed: int) -> TrainConfig:
         seed=seed,
         lambda_grid=args.lambda_grid,
     )
-
-
-def _fresh_model(ds, args, seed: int):
-    masks = build_masks(
-        ds.n_attributes, args.hidden, args.orderings, args.masks, seed=1000 + seed
-    )
-    head = choose_head(ds.attribute_kinds)
-    return init_params(masks, head=head, n_components=args.components, seed=2000 + seed)
+    return bundle, init, cfg
 
 
 def cmd_train(args) -> int:
-    _require(args, "data", "out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args, "data")
     ds, stats = _prepare_dataset(args)
-    bundle = datamod.split(ds, args.seed, args.train_anoms, args.val_anoms)
-    init = _fresh_model(ds, args, args.seed)
-    cfg = _train_config(args, args.seed)
+    bundle, init, cfg = _seeded_run(ds, args, args.seed)
     params, report = train(init, ds, bundle, cfg, args.lam)
     save_model(str(out / "model.bin"), params, stats)
     stats.save(str(out / "normstats.txt"))
@@ -149,13 +116,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _require(args, "data", "out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args, "data")
     ds, stats = _prepare_dataset(args)
-    bundle = datamod.split(ds, args.seed, args.train_anoms, args.val_anoms)
-    init = _fresh_model(ds, args, args.seed)
-    cfg = _train_config(args, args.seed)
+    bundle, init, cfg = _seeded_run(ds, args, args.seed)
     result = sweep_lambda(init, ds, bundle, cfg)
     save_model(str(out / "model.bin"), result.best_params, stats)
     stats.save(str(out / "normstats.txt"))
@@ -189,15 +152,14 @@ def _check_binary(attributes, names, path) -> None:
 
 
 def cmd_score(args) -> int:
-    _require(args, "model", "data", "out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args, "model", "data")
     params, stats = load_model(args.model)
     ds = datamod.load_csv(args.data, args.label)
     attributes = ds.attributes
     if stats is not None:
         _check_attribute_names(ds.attribute_names, stats.attribute_names)
-        attributes = stats.apply(attributes)
+        # clamping would turn an out-of-range binary value into 0 or 1
+        attributes = stats.apply(attributes, clip=params.head != BERNOULLI)
     if params.head == BERNOULLI:
         _check_binary(attributes, ds.attribute_names, args.data)
     scores = anomaly_score_batch(params, attributes)
@@ -216,9 +178,7 @@ def cmd_score(args) -> int:
 
 
 def _experiment_one_seed(ds, args, seed: int):
-    bundle = datamod.split(ds, seed, args.train_anoms, args.val_anoms)
-    init = _fresh_model(ds, args, seed)
-    cfg = _train_config(args, seed)
+    bundle, init, cfg = _seeded_run(ds, args, seed)
     result = sweep_lambda(init, ds, bundle, cfg)
     if 0.0 in result.models:
         lambda0_params = result.models[0.0]
@@ -249,9 +209,7 @@ def _experiment_one_seed(ds, args, seed: int):
 
 
 def cmd_experiment(args) -> int:
-    _require(args, "data", "out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args, "data")
     ds, _ = _prepare_dataset(args)
     per_method: dict[str, list[float]] = {}
     for seed in args.seeds:
@@ -285,9 +243,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _require(args, "scenario", "out")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args, "scenario")
     raw = synth.make_scenario(args.scenario, args.seed)
     with open(out / "dataset.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(raw.attribute_names) + ",label\n")
@@ -295,9 +251,7 @@ def cmd_synth(args) -> int:
             fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
     ds = datamod.dedup(raw)
     ds, stats = datamod.normalize_minmax(ds)
-    bundle = datamod.split(ds, args.seed, args.train_anoms, args.val_anoms)
-    init = _fresh_model(ds, args, args.seed)
-    cfg = _train_config(args, args.seed)
+    bundle, init, cfg = _seeded_run(ds, args, args.seed)
     unsup_params, _ = train(init, ds, bundle, cfg, 0.0)
     sup_params, _ = train(init, ds, bundle, cfg, 1000.0)
     grid = synth.profile_grid()
@@ -311,70 +265,84 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_common(parser, *, with_seed=True):
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--data", help="CSV dataset path")
-    parser.add_argument("--label", help="label column name or index (default: label)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--hidden", type=int)
-    parser.add_argument("--components", type=int)
-    parser.add_argument("--masks", type=int)
-    parser.add_argument("--orderings", type=int)
-    parser.add_argument("--train-anoms", dest="train_anoms", type=int)
-    parser.add_argument("--val-anoms", dest="val_anoms", type=int)
-    parser.add_argument("--lambda-grid", dest="lambda_grid", type=_parse_grid)
-    if with_seed:
-        parser.add_argument("--seed", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", help="key=value file of flags without --; flags win")
+    files.add_argument("--data", help="CSV dataset path")
+    files.add_argument("--label", default="label", help="label column name or index")
+    files.add_argument("--out", help="output directory")
+
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--epochs", type=int, default=100)
+    fit.add_argument("--lr", type=float, default=1e-3)
+    fit.add_argument("--batch-size", type=int, default=64)
+    fit.add_argument("--patience", type=int, default=10)
+    fit.add_argument("--hidden", type=int, default=500)
+    fit.add_argument("--components", type=int, default=3)
+    fit.add_argument("--masks", type=int, default=10)
+    fit.add_argument("--orderings", type=int, default=10)
+    fit.add_argument("--train-anoms", type=int, default=3)
+    fit.add_argument("--val-anoms", type=int, default=3)
+    fit.add_argument("--lambda-grid", type=_parse_grid, default=DEFAULT_LAMBDA_GRID)
+
+    seeded = argparse.ArgumentParser(add_help=False, parents=[files, fit])
+    seeded.add_argument("--seed", type=int, default=0)
+
     parser = argparse.ArgumentParser(
         prog="anodens",
         description="Supervised anomaly detection with an autoregressive density model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a single model at a fixed lambda")
-    _add_common(p_train)
-    p_train.add_argument("--lambda", dest="lam", type=float)
+    p_train = sub.add_parser(
+        "train", parents=[seeded], help="train a single model at a fixed lambda"
+    )
+    p_train.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep", help="train across the lambda grid, keep the best")
-    _add_common(p_sweep)
+    p_sweep = sub.add_parser(
+        "sweep", parents=[seeded], help="train across the lambda grid, keep the best"
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_score = sub.add_parser("score", help="score a CSV with a saved model")
-    p_score.add_argument("--config")
+    p_score = sub.add_parser("score", parents=[files], help="score a CSV with a saved model")
     p_score.add_argument("--model", help="saved model file")
-    p_score.add_argument("--data")
-    p_score.add_argument("--label")
-    p_score.add_argument("--out")
     p_score.add_argument("--roc", action="store_true", help="also emit ROC points TSV")
     p_score.set_defaults(func=cmd_score)
 
-    p_exp = sub.add_parser("experiment", help="multi-seed benchmark with baselines")
-    _add_common(p_exp, with_seed=False)
-    p_exp.add_argument("--seeds", type=_parse_seeds, help="e.g. 0..9 or 0,3,7")
-    p_exp.add_argument("--knn-k", dest="knn_k", type=int)
+    p_exp = sub.add_parser(
+        "experiment", parents=[files, fit], help="multi-seed benchmark with baselines"
+    )
+    p_exp.add_argument(
+        "--seeds", type=_parse_seeds, default=tuple(range(10)), help="e.g. 0..9 or 0,3,7"
+    )
+    p_exp.add_argument("--knn-k", type=int, default=5)
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_synth = sub.add_parser("synth", help="generate and profile a synthetic scenario")
-    _add_common(p_synth)
+    p_synth = sub.add_parser(
+        "synth", parents=[seeded], help="generate and profile a synthetic scenario"
+    )
     p_synth.add_argument("--scenario", choices=synth.SCENARIOS)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser
 
 
+def _parse_with_config(parser, argv, path) -> argparse.Namespace:
+    """Parse the config's tokens ahead of the command line's, so flags win."""
+    args, unknown = parser.parse_known_args([argv[0], *_config_tokens(path), *argv[1:]])
+    if unknown:
+        raise ValueError(f"config {path}: unknown option {unknown[0].partition('=')[0]}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args = _resolve(args)
+        if args.config:
+            args = _parse_with_config(parser, argv, args.config)
         return args.func(args)
     except Exception as exc:  # single-line, machine-parsable failure surface
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ SIGMA_MIN = 1e-3
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 MODEL_FORMAT_VERSION = 1
+
+
+def _head_width(head: str, n_components: int) -> int:
+    """Raw outputs per attribute: K weights + K means + K scales, or one logit."""
+    return 3 * n_components if head == GAUSSIAN_MIXTURE else 1
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -148,8 +154,7 @@ class MadeParams:
 
     @property
     def head_width(self) -> int:
-        # raw outputs per attribute: K weights + K means + K scales, or one logit
-        return 3 * self.n_components if self.head == GAUSSIAN_MIXTURE else 1
+        return _head_width(self.head, self.n_components)
 
     def trainable(self) -> dict[str, np.ndarray]:
         return {"w_in": self.w_in, "b_in": self.b_in, "w_out": self.w_out, "b_out": self.b_out}
@@ -175,7 +180,7 @@ def init_params(
     if head == GAUSSIAN_MIXTURE and n_components < 1:
         raise ValueError("mixture needs at least one component")
     d, h = masks.n_attributes, masks.n_hidden
-    width = 3 * n_components if head == GAUSSIAN_MIXTURE else 1
+    width = _head_width(head, n_components)
     rng = np.random.default_rng(seed)
     lim_in = np.sqrt(6.0 / (d + h))
     lim_out = np.sqrt(6.0 / (h + d * width))
@@ -386,6 +391,19 @@ def anomaly_score(params: MadeParams, x: np.ndarray) -> float:
     return float(anomaly_score_batch(params, x)[0])
 
 
+# header keys of format version 1 besides format_version itself
+_HEADER_KEYS = (
+    "head",
+    "n_components",
+    "n_attributes",
+    "n_hidden",
+    "n_orderings",
+    "n_masks_per_ordering",
+    "mask_seed",
+    "has_norm_stats",
+)
+
+
 def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
     """Persist weights plus everything needed to rebuild masks (a seeded recipe)."""
     header = {
@@ -419,25 +437,43 @@ def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
 
 
 def load_model(path: str):
-    """Inverse of save_model; returns (MadeParams, NormStats or None)."""
+    """Inverse of save_model; returns (MadeParams, NormStats or None).
+
+    A file that is not an .npz archive, or lacks an array or header key, fails
+    with a one-line ValueError naming the file.
+    """
     from .data import NormStats
 
-    with np.load(path, allow_pickle=False) as payload:
-        header = json.loads(bytes(payload["header_json"]).decode())
-        if header["format_version"] != MODEL_FORMAT_VERSION:
+    try:
+        payload = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        payload = None
+    if not isinstance(payload, np.lib.npyio.NpzFile):
+        raise ValueError(f"model file {path} is not an .npz archive")
+
+    def need(table, key, kind):
+        if key not in table:
+            raise ValueError(f"model file {path} has no {kind} {key!r}")
+        return table[key]
+
+    with payload:
+        header = json.loads(bytes(need(payload, "header_json", "array")).decode())
+        if need(header, "format_version", "header key") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {header['format_version']}")
+        for key in _HEADER_KEYS:
+            need(header, key, "header key")
         head, k = header["head"], int(header["n_components"])
         if head not in (GAUSSIAN_MIXTURE, BERNOULLI):
             raise ValueError(f"model file has unknown head {head!r}")
         if head == GAUSSIAN_MIXTURE and k < 1:
             raise ValueError(f"model file mixture head has {k} components")
         d, h = header["n_attributes"], header["n_hidden"]
-        width = d * (3 * k if head == GAUSSIAN_MIXTURE else 1)
+        width = d * _head_width(head, k)
         expected = {"w_in": (d, h), "b_in": (h,), "w_out": (h, width), "b_out": (width,)}
         if header["has_norm_stats"]:
             expected.update(norm_mins=(d,), norm_maxs=(d,))
         # the head-major forward reshapes w_out and b_out by this layout
-        arrays = {name: payload[name] for name in expected}
+        arrays = {name: need(payload, name, "array") for name in expected}
         for name, shape in expected.items():
             if arrays[name].shape != shape:
                 raise ValueError(
@@ -461,6 +497,6 @@ def load_model(path: str):
         )
         stats = None
         if header["has_norm_stats"]:
-            names = tuple(json.loads(bytes(payload["norm_names"]).decode()))
+            names = tuple(json.loads(bytes(need(payload, "norm_names", "array")).decode()))
             stats = NormStats(names, arrays["norm_mins"], arrays["norm_maxs"])
     return params, stats

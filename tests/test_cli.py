@@ -119,6 +119,14 @@ class TestScoreInputs:
             "error: attribute b holds non-binary value 0.5 on line 5\n"
         )
         assert not (out / "scores.csv").exists()
+        # 7 lies outside the stored [0, 1] range: it must not be clamped to 1 first
+        path.write_text("a,b,c,label\n0,7,1,1\n")
+        rc = main(["score", "--model", str(model_path), "--data", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: attribute b holds non-binary value 7.0 on line 2\n"
+        )
+        assert not (out / "scores.csv").exists()
 
 
 class TestExperiment:
@@ -206,3 +214,63 @@ class TestConfigFile:
         rc = main(["train", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "missing required option --data" in capsys.readouterr().err
+
+    def test_lambda_reaches_training_and_flags_win_before_config(self, tmp_path):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"data={data}\nhidden=16\nmasks=2\norderings=2\nepochs=3\n"
+            "batch_size=32\nlambda=1\n"
+        )
+        out = tmp_path / "run"
+        rc = main(["train", "--epochs", "2", "--config", str(config), "--out", str(out)])
+        assert rc == 0
+        report = (out / "train_report.csv").read_text().splitlines()
+        assert len(report) == 4
+        assert report[-1].endswith(" lambda=1.0")
+
+    def test_underscore_key_matches_flag(self, tmp_path):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        outs = []
+        for name, spelling in (("a", "batch_size"), ("b", "batch-size")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(f"{spelling}=16\n")
+            outs.append(tmp_path / name)
+            rc = main(["train", "--config", str(config), "--data", data,
+                       "--out", str(outs[-1]), *FAST[:-2], "--epochs", "2"])
+            assert rc == 0
+        flagged = tmp_path / "flag"
+        rc = main(["train", "--data", data, "--out", str(flagged), *FAST[:-2],
+                   "--epochs", "2", "--batch-size", "16"])
+        assert rc == 0
+        for out in outs:
+            assert (out / "model.bin").read_bytes() == (flagged / "model.bin").read_bytes()
+
+    def test_option_of_another_subcommand_rejected(self, tmp_path, capsys):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        config = tmp_path / "run.cfg"
+        config.write_text("hidden=16\nseeds=0..3\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(config), "--data", data, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config {config}: unknown option --seeds\n"
+        assert not (out / "model.bin").exists()
+
+    def test_malformed_value_fails_like_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("epochs=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --epochs: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["3..1", ","])
+def test_empty_seed_list_rejected(tmp_path, capsys, seeds):
+    data = write_benchmark_csv(tmp_path / "d.csv")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--data", data, "--out", str(out), "--seeds", seeds, *FAST])
+    assert exc.value.code == 2
+    assert "argument --seeds: empty seed list" in capsys.readouterr().err
+    assert not out.exists()

@@ -311,7 +311,10 @@ class TestPersistence:
         assert stats is None
         assert loaded.head == BERNOULLI
 
-    @pytest.mark.parametrize("case", ["truncated_w_out", "unknown_head", "no_components"])
+    @pytest.mark.parametrize(
+        "case",
+        ["truncated_w_out", "unknown_head", "no_components", "missing_b_out", "missing_n_hidden"],
+    )
     def test_rejects_file_that_contradicts_its_header(self, tmp_path, case):
         params = tiny_params(seed=3)
         header = {
@@ -327,15 +330,33 @@ class TestPersistence:
         elif case == "unknown_head":
             header["head"] = "poisson"
             match = r"^model file has unknown head 'poisson'$"
-        else:
+        elif case == "no_components":
             header["n_components"] = 0
             match = r"^model file mixture head has 0 components$"
+        elif case == "missing_b_out":
+            del arrays["b_out"]
+            match = "has no array 'b_out'$"
+        else:
+            del header["n_hidden"]
+            match = "has no header key 'n_hidden'$"
         path = tmp_path / "model.bin"
         with open(path, "wb") as fh:
             np.savez(fh, header_json=np.frombuffer(json.dumps(header).encode(), np.uint8),
                      **arrays)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as exc:
             load_model(str(path))
+        if case.startswith("missing"):
+            assert str(exc.value).startswith(f"model file {path} has no ")
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"w_in=1\n", b"PK\x03\x04truncated"], ids=["empty", "text", "bad_zip"]
+    )
+    def test_rejects_file_that_is_not_an_npz_archive(self, tmp_path, content):
+        path = tmp_path / "model.bin"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == f"model file {path} is not an .npz archive"
 
 
 class TestSoftplus:
