@@ -63,6 +63,8 @@ def _config_tokens(path: str) -> list[str]:
             if "=" not in line:
                 raise ValueError(f"config {path}: line {line_no} is not key=value")
             key, _, value = line.partition("=")
+            if key.strip() == "config":
+                raise ValueError(f"config {path}: line {line_no} includes another config")
             tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return tokens
 

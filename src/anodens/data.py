@@ -256,6 +256,9 @@ def split(ds: Dataset, seed: int, n_train_anom: int = 3, n_val_anom: int = 3) ->
     test); anomalies are shuffled and cut n_train_anom/n_val_anom/rest.
     Deterministic for a given seed (PCG64 via numpy's default_rng).
     """
+    for name, count in (("n_train_anom", n_train_anom), ("n_val_anom", n_val_anom)):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
     normals = ds.normal_indices()
     anomalies = ds.anomaly_indices()
     if len(anomalies) < n_train_anom + n_val_anom + 1:

@@ -10,24 +10,27 @@ import numpy as np
 from .model import MadeParams, anomaly_score_batch
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
-    order = np.argsort(values, kind="mergesort")
-    ordered = values[order]
-    n = len(values)
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], n]
-    group_mid = (starts + ends + 1) / 2.0  # ranks are 1-based
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(group_mid, ends - starts)
-    return ranks
+def _counts_at_or_above(anomaly_scores: np.ndarray, normal_scores: np.ndarray):
+    """(distinct scores descending, int64 counts of anomalies and of normals scoring >= each).
+
+    One sort plus cumulative counts, O(n log n).
+    """
+    n_anom = anomaly_scores.size
+    thresholds, group = np.unique(
+        np.concatenate([anomaly_scores, normal_scores]), return_inverse=True
+    )
+    n_groups = thresholds.size
+    # counts accumulated from the top group down
+    tp = np.cumsum(np.bincount(group[:n_anom], minlength=n_groups)[::-1])
+    fp = np.cumsum(np.bincount(group[n_anom:], minlength=n_groups)[::-1])
+    return thresholds[::-1], tp, fp
 
 
 def auc(anomaly_scores, normal_scores) -> float:
     """Probability a random anomaly outscores a random normal, ties worth 0.5.
 
-    Rank-based O((a+n) log(a+n)) evaluation; identical to the pairwise
-    indicator double loop.
+    The trapezoid area under the ROC steps, summed in integer pair counts and
+    divided once, so it equals the pairwise indicator double loop exactly.
     """
     anomaly_scores = np.asarray(anomaly_scores, dtype=np.float64)
     normal_scores = np.asarray(normal_scores, dtype=np.float64)
@@ -35,34 +38,26 @@ def auc(anomaly_scores, normal_scores) -> float:
         raise ValueError("both score lists must be non-empty")
     if not (np.isfinite(anomaly_scores).all() and np.isfinite(normal_scores).all()):
         raise ValueError("scores must be finite")
-    n_anom, n_norm = anomaly_scores.size, normal_scores.size
-    ranks = _midranks(np.concatenate([anomaly_scores, normal_scores]))
-    rank_sum = ranks[:n_anom].sum()
-    return float((rank_sum - n_anom * (n_anom + 1) / 2.0) / (n_anom * n_norm))
+    _, tp, fp = _counts_at_or_above(anomaly_scores, normal_scores)
+    # normals entering at a threshold count 2 per anomaly above it, 1 per anomaly tied at it
+    twice_pairs = np.dot(np.diff(fp, prepend=0), tp + np.r_[0, tp[:-1]])
+    return float(twice_pairs / (2 * anomaly_scores.size * normal_scores.size))
 
 
 def roc_points(anomaly_scores, normal_scores) -> np.ndarray:
     """(threshold, fpr, tpr) rows with thresholds descending, for plotting.
 
     The first row is (inf, 0, 0); each distinct score is then one threshold t,
-    with the shares of anomalies and normals scoring >= t.  One sort plus
-    cumulative counts, O(n log n).
+    with the shares of anomalies and normals scoring >= t.
     """
     anomaly_scores = np.asarray(anomaly_scores, dtype=np.float64)
     normal_scores = np.asarray(normal_scores, dtype=np.float64)
-    n_anom = anomaly_scores.size
-    thresholds, group = np.unique(
-        np.concatenate([anomaly_scores, normal_scores]), return_inverse=True
-    )
-    n_groups = thresholds.size
-    # scores >= the i-th largest threshold: counts accumulated from the top group down
-    tp = np.cumsum(np.bincount(group[:n_anom], minlength=n_groups)[::-1])
-    fp = np.cumsum(np.bincount(group[n_anom:], minlength=n_groups)[::-1])
-    rows = np.empty((n_groups + 1, 3))
+    thresholds, tp, fp = _counts_at_or_above(anomaly_scores, normal_scores)
+    rows = np.empty((thresholds.size + 1, 3))
     rows[0] = (np.inf, 0.0, 0.0)
-    rows[1:, 0] = thresholds[::-1]
+    rows[1:, 0] = thresholds
     rows[1:, 1] = fp / normal_scores.size
-    rows[1:, 2] = tp / n_anom
+    rows[1:, 2] = tp / anomaly_scores.size
     return rows
 
 

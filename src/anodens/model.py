@@ -205,24 +205,22 @@ class ForwardCache:
     """Intermediates of a full-ensemble forward pass, kept for backprop.
 
     Output-layer arrays are head-major, (..., P, D): attribute is the
-    innermost, contiguous axis.
+    innermost, contiguous axis.  Only log-space head terms are kept; backprop
+    exponentiates what it needs, so scoring-only passes never do.
     """
 
     x: np.ndarray  # (B, D)
     masked_w_out: np.ndarray  # (M, H, P, D) output weights under each member's mask
-    pre: np.ndarray  # (M, B, H) hidden pre-activations
-    hidden: np.ndarray  # (M, B, H)
+    hidden: np.ndarray  # (M, B, H) ReLU activations
     raw: np.ndarray  # (M, B, P, D)
     member_logdensity: np.ndarray  # (M, B)
     member_weight: np.ndarray  # (M, B) softmax of member log-densities
     log_density: np.ndarray  # (B,)
-    # gaussian head intermediates (None for bernoulli)
-    mix_weights: np.ndarray | None = None  # (M, B, K, D)
-    means: np.ndarray | None = None
+    # gaussian head terms, each (M, B, K, D) but log_cond (M, B, D); None for bernoulli
+    log_mix: np.ndarray | None = None
     sigmas: np.ndarray | None = None
-    responsibilities: np.ndarray | None = None  # softmax over components
-    # bernoulli head intermediate
-    probs: np.ndarray | None = None  # (M, B, D)
+    scored: np.ndarray | None = None  # log_mix + per-component log-normal
+    log_cond: np.ndarray | None = None  # log-sum-exp of scored over components
 
 
 def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
@@ -239,23 +237,23 @@ def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
 def _members_forward(params: MadeParams, x: np.ndarray, members: slice = slice(None)):
     """Run the selected ensemble members on a validated batch.
 
-    Returns (masked_w_out (M', H, P, D), pre (M', B, H), hidden (M', B, H),
-    raw (M', B, P, D)) for the M' members in `members`.  The output layer is
-    computed head-major: stored column d*P + j of w_out and b_out is element
-    [j, d] here, so each (hidden unit, attribute) mask row gates a contiguous
-    D-long run of weights for every head output j.
+    Returns (masked_w_out (M', H, P, D), hidden (M', B, H), raw (M', B, P, D))
+    for the M' members in `members`.  The output layer is computed head-major:
+    stored column d*P + j of w_out and b_out is element [j, d] here, so each
+    (hidden unit, attribute) mask row gates a contiguous D-long run of weights
+    for every head output j.
     """
     masks = params.masks
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
     out_masks = masks.output_masks[members]  # (M', H, D)
     n_members = out_masks.shape[0]
-    pre = np.matmul(x, params.w_in * masks.input_masks[members]) + params.b_in
-    hidden = np.maximum(pre, 0.0)
+    hidden = np.matmul(x, params.w_in * masks.input_masks[members]) + params.b_in
+    np.maximum(hidden, 0.0, out=hidden)
     w_out = np.ascontiguousarray(params.w_out.reshape(h, d, p).transpose(0, 2, 1))
     masked_w_out = w_out * out_masks[:, :, None, :]
     b_out = params.b_out.reshape(d, p).T.ravel()
     raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d)) + b_out
-    return masked_w_out, pre, hidden, raw.reshape(n_members, x.shape[0], p, d)
+    return masked_w_out, hidden, raw.reshape(n_members, x.shape[0], p, d)
 
 
 def _mixture_link(raw: np.ndarray, k: int):
@@ -269,7 +267,7 @@ def _mixture_link(raw: np.ndarray, k: int):
 def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
     """Run every ensemble member on a batch and assemble the mixture log-density."""
     x = _validate_input(x, params.n_attributes)
-    masked_w_out, pre, hidden, raw = _members_forward(params, x)
+    masked_w_out, hidden, raw = _members_forward(params, x)
 
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
@@ -277,20 +275,13 @@ def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
         log_norm = -0.5 * LOG_2PI - np.log(sigmas) - 0.5 * z * z
         scored = log_mix + log_norm  # (M, B, K, D)
         log_cond = _logsumexp(scored, axis=-2)  # (M, B, D)
-        responsibilities = np.exp(scored - log_cond[..., None, :])
-        member_ld = log_cond.sum(axis=-1)  # (M, B)
-        head_cache = dict(
-            mix_weights=np.exp(log_mix),
-            means=means,
-            sigmas=sigmas,
-            responsibilities=responsibilities,
-        )
+        head_cache = dict(log_mix=log_mix, sigmas=sigmas, scored=scored, log_cond=log_cond)
     else:
         logit = raw[..., 0, :]  # (M, B, D)
         # stable log-masses: log(phi) = -softplus(-t), log(1-phi) = -softplus(t)
         log_cond = -(x[None, :, :] * _softplus(-logit) + (1.0 - x[None, :, :]) * _softplus(logit))
-        member_ld = log_cond.sum(axis=-1)
-        head_cache = dict(probs=sigmoid(logit))
+        head_cache = {}
+    member_ld = log_cond.sum(axis=-1)  # (M, B)
 
     total = _logsumexp(member_ld, axis=0)  # (B,)
     member_weight = np.exp(member_ld - total[None, :])
@@ -298,7 +289,6 @@ def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
     return ForwardCache(
         x=x,
         masked_w_out=masked_w_out,
-        pre=pre,
         hidden=hidden,
         raw=raw,
         member_logdensity=member_ld,
@@ -322,18 +312,18 @@ def backprop_log_density(
 
     if params.head == GAUSSIAN_MIXTURE:
         u = upstream[:, :, None, None]
-        resp = cache.responsibilities
+        resp = np.exp(cache.scored - cache.log_cond[..., None, :])  # softmax over components
         weighted = u * resp  # (M, B, K, D)
-        diff = cache.x[None, :, None, :] - cache.means
+        diff = cache.x[None, :, None, :] - cache.raw[..., k : 2 * k, :]  # x - means
         inv_sigma = 1.0 / cache.sigmas
-        g_logits = u * (resp - cache.mix_weights)
+        g_logits = u * (resp - np.exp(cache.log_mix))
         g_means = weighted * diff * inv_sigma * inv_sigma
         g_sigma = weighted * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
         # scale raw feeds sigma through a softplus link
         g_scale_raw = g_sigma * sigmoid(cache.raw[..., 2 * k :, :])
         raw_grad = np.concatenate([g_logits, g_means, g_scale_raw], axis=-2)
     else:
-        g_logit = upstream[:, :, None] * (cache.x[None, :, :] - cache.probs)
+        g_logit = upstream[:, :, None] * (cache.x[None, :, :] - sigmoid(cache.raw[..., 0, :]))
         raw_grad = g_logit[:, :, None, :]
 
     raw_grad = raw_grad.reshape(m, b, p * d)
@@ -344,7 +334,8 @@ def backprop_log_density(
     b_out_grad = raw_grad.sum(axis=(0, 1)).reshape(p, d).T.ravel()
     masked_w_out = cache.masked_w_out.reshape(m, h, p * d)
     hidden_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
-    pre_grad = hidden_grad * (cache.pre > 0.0)
+    # hidden > 0 is the ReLU's pre > 0 mask, NaN and -0.0 included
+    pre_grad = hidden_grad * (cache.hidden > 0.0)
     w_in_grad = (np.matmul(cache.x.T[None, :, :], pre_grad) * masks.input_masks).sum(axis=0)
     b_in_grad = pre_grad.sum(axis=(0, 1))
     return {"w_in": w_in_grad, "b_in": b_in_grad, "w_out": w_out_grad, "b_out": b_out_grad}
@@ -358,7 +349,7 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
     masks = params.masks
     if not 0 <= mask_index < masks.n_members:
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
-    raw = _members_forward(params, x, slice(mask_index, mask_index + 1))[3][0, 0]  # (P, D)
+    raw = _members_forward(params, x, slice(mask_index, mask_index + 1))[2][0, 0]  # (P, D)
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(

@@ -11,16 +11,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MadeParams, backprop_log_density, forward_ensemble, sigmoid
+from .model import MadeParams, backprop_log_density, forward_ensemble, log_density_batch, sigmoid
 
 
 @dataclass
 class ObjectiveConfig:
-    lam: float = 0.0  # weight of the ranking regularizer, >= 0
+    lam: float = 0.0  # weight of the ranking regularizer, finite and >= 0
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("regularizer weight must be non-negative")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"regularizer weight must be finite, got {self.lam}")
 
 
 @dataclass
@@ -43,10 +45,7 @@ class LabeledBatch:
 
 def normal_loglik(params: MadeParams, normals: np.ndarray) -> float:
     """Mean log-density of the given normal instances."""
-    normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    if normals.shape[0] == 0:
-        raise ValueError("need at least one normal instance")
-    return float(forward_ensemble(params, normals).log_density.mean())
+    return objective_value(params, LabeledBatch(normals), ObjectiveConfig())
 
 
 def pairwise_regularizer(
@@ -66,48 +65,32 @@ def pairwise_regularizer(
     return float(np.mean(transfer(gaps)))
 
 
-def auc_regularizer(
-    params: MadeParams, anomalies: np.ndarray, normals: np.ndarray, transfer=sigmoid
-) -> float:
+def auc_regularizer(params: MadeParams, anomalies: np.ndarray, normals: np.ndarray) -> float:
     """Model-level ranking regularizer over labeled anomaly/normal instances."""
-    anomalies = np.atleast_2d(np.asarray(anomalies, dtype=np.float64))
-    normals = np.atleast_2d(np.asarray(normals, dtype=np.float64))
-    if anomalies.shape[0] == 0 or normals.shape[0] == 0:
-        raise ValueError("regularizer needs both anomalies and normals")
-    ld_a = forward_ensemble(params, anomalies).log_density
-    ld_n = forward_ensemble(params, normals).log_density
-    return pairwise_regularizer(ld_n, ld_a, transfer)
+    return pairwise_regularizer(
+        log_density_batch(params, normals), log_density_batch(params, anomalies)
+    )
 
 
 def _objective_with_optional_gradient(params, batch, cfg, want_gradient):
-    lam = cfg.lam
-    n_norm = batch.normals.shape[0]
-    n_anom = batch.n_anomalies
-
-    if lam == 0.0 or n_anom == 0:
-        # pure maximum-likelihood path: anomaly rows are never touched
-        cache = forward_ensemble(params, batch.normals)
-        value = float(cache.log_density.mean())
-        if not want_gradient:
-            return value, None
-        coeff = np.full(n_norm, 1.0 / n_norm)
-        return value, backprop_log_density(params, cache, coeff)
-
-    stacked = np.vstack([batch.normals, batch.anomalies])
-    cache = forward_ensemble(params, stacked)
+    n_norm, n_anom = batch.normals.shape[0], batch.n_anomalies
+    # the anomaly rows are forwarded only when the ranking term reads them
+    supervised = cfg.lam > 0 and n_anom > 0
+    rows = np.vstack([batch.normals, batch.anomalies]) if supervised else batch.normals
+    cache = forward_ensemble(params, rows)
     ld_normals = cache.log_density[:n_norm]
-    ld_anoms = cache.log_density[n_norm:]
-    loglik = float(ld_normals.mean())
-    gaps = ld_normals[None, :] - ld_anoms[:, None]  # (n_anom, n_norm)
-    sig = sigmoid(gaps)
-    value = loglik + lam * float(sig.mean())
+    value = float(ld_normals.mean())
+    coeff = np.full(n_norm, 1.0 / n_norm)
+    if supervised:
+        sig = sigmoid(ld_normals[None, :] - cache.log_density[n_norm:, None])  # (n_anom, n_norm)
+        value += cfg.lam * float(sig.mean())
+        pair_weight = cfg.lam / (n_anom * n_norm)
+        slope = sig * (1.0 - sig)
+        coeff = np.concatenate(
+            [coeff + pair_weight * slope.sum(axis=0), -pair_weight * slope.sum(axis=1)]
+        )
     if not want_gradient:
         return value, None
-    pair_weight = lam / (n_anom * n_norm)
-    slope = sig * (1.0 - sig)
-    coeff = np.concatenate(
-        [1.0 / n_norm + pair_weight * slope.sum(axis=0), -pair_weight * slope.sum(axis=1)]
-    )
     return value, backprop_log_density(params, cache, coeff)
 
 

@@ -14,6 +14,11 @@ from .objective import LabeledBatch, ObjectiveConfig, objective_and_gradient
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
+# ADAM moment decay rates and denominator floor (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -21,25 +26,24 @@ class TrainConfig:
     max_epochs: int = 100
     batch_size: int = 64
     patience: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("ADAM betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("ADAM epsilon must be positive")
+        if self.patience < 1:
+            raise ValueError("patience must be at least 1")
         if any(lam < 0 for lam in self.lambda_grid):
             raise ValueError("regularizer weights must be non-negative")
+        if not np.isfinite(self.lambda_grid).all():
+            raise ValueError(f"regularizer weights must be finite, got {self.lambda_grid}")
 
 
 @dataclass
@@ -98,13 +102,13 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for {name}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        trainable[name] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        trainable[name] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class EarlyStopper:
@@ -155,9 +159,7 @@ def train(
         raise ValueError("validation split needs both normals and anomalies")
 
     train_normals = np.asarray(ds.attributes[np.asarray(bundle.train_normal)], dtype=np.float64)
-    use_anomalies = lam > 0 and len(bundle.train_anom) > 0
-    if use_anomalies:
-        train_anoms = np.asarray(ds.attributes[np.asarray(bundle.train_anom)], dtype=np.float64)
+    train_anoms = ds.attributes[np.asarray(bundle.train_anom if lam > 0 else (), dtype=np.int64)]
     val_normals = np.asarray(ds.attributes[np.asarray(bundle.val_normal)], dtype=np.float64)
     val_anoms = np.asarray(ds.attributes[np.asarray(bundle.val_anom)], dtype=np.float64)
 
@@ -174,10 +176,7 @@ def train(
         order = rng.permutation(len(train_normals))
         epoch_values = []
         for chunk in _batch_slices(len(order), cfg.batch_size):
-            if use_anomalies:
-                batch = LabeledBatch(train_normals[order[chunk]], train_anoms)
-            else:
-                batch = LabeledBatch(train_normals[order[chunk]])
+            batch = LabeledBatch(train_normals[order[chunk]], train_anoms)
             value, grads = objective_and_gradient(params, batch, obj_cfg)
             adam_step(params.trainable(), grads, state, cfg)
             epoch_values.append(value)

@@ -256,6 +256,19 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: config {config}: unknown option --seeds\n"
         assert not (out / "model.bin").exists()
 
+    def test_included_config_rejected(self, tmp_path, capsys):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        inner = tmp_path / "inner.cfg"
+        inner.write_text("hidden=8\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# wraps another file\nconfig={inner}\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(config), "--data", data, "--out", str(out), *FAST])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config {config}: line 2 includes another config\n"
+        assert not (out / "model.bin").exists()
+
     def test_malformed_value_fails_like_the_flag(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("epochs=abc\n")
@@ -263,6 +276,25 @@ class TestConfigFile:
             main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "argument --epochs: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda", "nan"], "regularizer weight must be finite, got nan"),
+        (["--lambda", "inf"], "regularizer weight must be finite, got inf"),
+        (["--lr", "nan"], "learning rate must be finite, got nan"),
+        (["--patience", "0"], "patience must be at least 1"),
+        (["--train-anoms", "-1"], "n_train_anom must be non-negative, got -1"),
+    ],
+)
+def test_out_of_range_training_option_rejected(tmp_path, capsys, flags, message):
+    data = write_benchmark_csv(tmp_path / "d.csv")
+    out = tmp_path / "o"
+    rc = main(["train", "--data", data, "--out", str(out), *FAST, *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "model.bin").exists()
 
 
 @pytest.mark.parametrize("seeds", ["3..1", ","])

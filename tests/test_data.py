@@ -201,6 +201,14 @@ class TestSplit:
         with pytest.raises(ValueError, match="insufficient anomalies"):
             split(ds, seed=0, n_train_anom=3, n_val_anom=3)
 
+    @pytest.mark.parametrize("counts, name", [((-1, 3), "n_train_anom"), ((0, -1), "n_val_anom")])
+    def test_negative_anomaly_count_rejected(self, counts, name):
+        ds = self.make(40, 16)
+        with pytest.raises(ValueError, match=f"{name} must be non-negative, got -1"):
+            split(ds, 0, *counts)
+        # a zero count is allowed and still yields disjoint sets
+        split(ds, 0, *(max(c, 0) for c in counts)).check_partition(56)
+
     def test_insufficient_normals(self):
         ds = self.make(5, 10)
         with pytest.raises(ValueError, match="insufficient normals"):

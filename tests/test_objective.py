@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anodens.metrics import auc
-from anodens.model import BERNOULLI, GAUSSIAN_MIXTURE, build_masks, init_params, log_density
+from anodens.model import (
+    BERNOULLI,
+    GAUSSIAN_MIXTURE,
+    build_masks,
+    init_params,
+    log_density,
+    log_density_batch,
+)
 from anodens.objective import (
     LabeledBatch,
     ObjectiveConfig,
@@ -174,6 +181,27 @@ class TestObjectiveValue:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="regularizer weight must be finite"):
+            ObjectiveConfig(lam=lam)
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("lam", [1.0, 1e3])
+    def test_ranking_term_is_pairwise_regularizer(self, head, lam):
+        # the fused pass forwards normals and anomalies stacked; the reference
+        # forwards each set on its own, so the two agree to roundoff only
+        for seed in range(3):
+            params = tiny_params(head=head, seed=seed, noise=0.5)
+            batch = random_batch(head, seed)
+            value = objective_value(params, batch, ObjectiveConfig(lam=lam))
+            reg = pairwise_regularizer(
+                log_density_batch(params, batch.normals),
+                log_density_batch(params, batch.anomalies),
+            )
+            ranking = value - normal_loglik(params, batch.normals)
+            assert abs(ranking - lam * reg) <= 1e-12 * max(1.0, abs(value))
 
 
 class TestGradient:

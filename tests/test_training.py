@@ -97,6 +97,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="max_epochs"):
             TrainConfig(max_epochs=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(learning_rate=float("nan")), "learning rate must be finite"),
+            (dict(learning_rate=float("inf")), "learning rate must be finite"),
+            (dict(patience=0), "patience must be at least 1"),
+            (dict(lambda_grid=(0.0, float("nan"))), "regularizer weights must be finite"),
+            (dict(lambda_grid=(float("inf"),)), "regularizer weights must be finite"),
+        ],
+    )
+    def test_rejects_out_of_range_config(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
+
     def test_rejects_empty_training_normals(self, scenario_data):
         ds, bundle = scenario_data
         crippled = type(bundle)(
