@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOG_2PI
+from .model import LOG_2PI, ROW_TILE
 
 VARIANCE_FLOOR = 1e-6
 
@@ -55,11 +55,19 @@ def fit_knn(train_normals: np.ndarray, k: int = 5) -> KnnBaseline:
 
 
 def knn_score_batch(model: KnnBaseline, x: np.ndarray) -> np.ndarray:
-    """Euclidean distance to the k-th nearest stored training normal."""
+    """Euclidean distance to the k-th nearest stored training normal.
+
+    Rows run in tiles of ROW_TILE, so memory grows with the stored set, not
+    with the batch; each distance is a sum of exact differences, so a stored
+    point scores exactly zero.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    diffs = x[:, None, :] - model.train[None, :, :]
-    dists = np.sqrt((diffs * diffs).sum(axis=2))
-    kth = np.partition(dists, model.k - 1, axis=1)[:, model.k - 1]
+    kth = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], ROW_TILE):
+        rows = slice(start, start + ROW_TILE)
+        diffs = x[rows, None, :] - model.train[None, :, :]
+        dists = np.sqrt((diffs * diffs).sum(axis=2))
+        kth[rows] = np.partition(dists, model.k - 1, axis=1)[:, model.k - 1]
     return kth
 
 

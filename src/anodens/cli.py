@@ -1,9 +1,10 @@
 """Command-line pipeline: data prep, training, lambda sweeps, scoring, experiments.
 
 Each option is declared once, with its type and default, on the argparse parser.
-A key=value config file (--config) names flags without `--` and is parsed ahead
-of the command line, so flags override it.  All randomness flows from the seed
-options: split=seed, masks=1000+seed, weights=2000+seed, shuffles=seed.
+A key=value config file (--config) spells flags in full without `--` and is
+parsed ahead of the command line, so flags override it.  All randomness flows
+from the seed options: split=seed, masks=1000+seed, weights=2000+seed,
+shuffles=seed.
 """
 
 from __future__ import annotations
@@ -52,8 +53,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _config_tokens(path: str) -> list[str]:
-    """One `--key=value` token per `key=value` line; `_` in a key reads as `-`."""
+def _config_tokens(path: str, options: set[str]) -> list[str]:
+    """One `--key=value` token per `key=value` line; `_` in a key reads as `-`.
+
+    Each key must name one of `options`, the subcommand's long flags, in full;
+    argparse alone would resolve a prefix such as `conf` to `--config`.
+    """
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -65,7 +70,10 @@ def _config_tokens(path: str) -> list[str]:
             key, _, value = line.partition("=")
             if key.strip() == "config":
                 raise ValueError(f"config {path}: line {line_no} includes another config")
-            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+            flag = "--" + key.strip().replace("_", "-")
+            if flag not in options:
+                raise ValueError(f"config {path}: unknown option {flag}")
+            tokens.append(f"{flag}={value.strip()}")
     return tokens
 
 
@@ -330,12 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_with_config(parser, argv, path) -> argparse.Namespace:
+def _long_options(parser: argparse.ArgumentParser, command: str) -> set[str]:
+    """The long flags of one subcommand; argparse lists them only in private fields."""
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subcommands.choices[command]._actions
+    return {flag for action in actions for flag in action.option_strings if flag.startswith("--")}
+
+
+def _parse_with_config(parser, argv, command, path) -> argparse.Namespace:
     """Parse the config's tokens ahead of the command line's, so flags win."""
-    args, unknown = parser.parse_known_args([argv[0], *_config_tokens(path), *argv[1:]])
-    if unknown:
-        raise ValueError(f"config {path}: unknown option {unknown[0].partition('=')[0]}")
-    return args
+    tokens = _config_tokens(path, _long_options(parser, command))
+    return parser.parse_args([command, *tokens, *argv[1:]])
 
 
 def main(argv=None) -> int:
@@ -344,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args = _parse_with_config(parser, argv, args.config)
+            args = _parse_with_config(parser, argv, args.command, args.config)
         return args.func(args)
     except Exception as exc:  # single-line, machine-parsable failure surface
         print(f"error: {exc}", file=sys.stderr)

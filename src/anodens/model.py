@@ -26,6 +26,18 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 MODEL_FORMAT_VERSION = 1
 
+# Forward and backward run the ensemble MEMBER_TILE members at a time, so a
+# tile's masked output weights (1.1 MB per member at D=30 with the mixture
+# head) are built, used and dropped while in cache.  A scoring-only pass also
+# runs ROW_TILE rows at a time, so its memory is bounded by the tile.  Timed
+# at D=30, H=500 and 100 members on a 2-core x86-64 host: of 1, 2 and 4
+# members per tile, 2 was within a few percent of the fastest on training
+# steps, single rows and 512-row requests, while 1 was slowest on single
+# Bernoulli rows and small models and 4 on 512-row requests.  Every row tile
+# rebuilds the masked weights, so 64-row tiles took 40% longer than 256.
+MEMBER_TILE = 2
+ROW_TILE = 256
+
 
 def _head_width(head: str, n_components: int) -> int:
     """Raw outputs per attribute: K weights + K means + K scales, or one logit."""
@@ -206,21 +218,21 @@ class ForwardCache:
 
     Output-layer arrays are head-major, (..., P, D): attribute is the
     innermost, contiguous axis.  Only log-space head terms are kept; backprop
-    exponentiates what it needs, so scoring-only passes never do.
+    exponentiates what it needs.  A pass without backprop keeps x and
+    log_density alone and leaves every per-member field None.
     """
 
     x: np.ndarray  # (B, D)
-    masked_w_out: np.ndarray  # (M, H, P, D) output weights under each member's mask
-    hidden: np.ndarray  # (M, B, H) ReLU activations
-    raw: np.ndarray  # (M, B, P, D)
-    member_logdensity: np.ndarray  # (M, B)
-    member_weight: np.ndarray  # (M, B) softmax of member log-densities
     log_density: np.ndarray  # (B,)
-    # gaussian head terms, each (M, B, K, D) but log_cond (M, B, D); None for bernoulli
+    hidden: np.ndarray | None = None  # (M, B, H) ReLU activations
+    raw: np.ndarray | None = None  # (M, B, P, D)
+    member_logdensity: np.ndarray | None = None  # (M, B)
+    member_weight: np.ndarray | None = None  # (M, B) softmax of member log-densities
+    log_cond: np.ndarray | None = None  # (M, B, D) per-attribute log-conditionals
+    # gaussian head terms, each (M, B, K, D); None for bernoulli
     log_mix: np.ndarray | None = None
     sigmas: np.ndarray | None = None
     scored: np.ndarray | None = None  # log_mix + per-component log-normal
-    log_cond: np.ndarray | None = None  # log-sum-exp of scored over components
 
 
 def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
@@ -234,26 +246,39 @@ def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
     return x
 
 
-def _members_forward(params: MadeParams, x: np.ndarray, members: slice = slice(None)):
-    """Run the selected ensemble members on a validated batch.
+def _tiles(n: int, size: int) -> list[slice]:
+    """Consecutive slices of at most `size` covering range(n)."""
+    return [slice(start, start + size) for start in range(0, n, size)]
 
-    Returns (masked_w_out (M', H, P, D), hidden (M', B, H), raw (M', B, P, D))
-    for the M' members in `members`.  The output layer is computed head-major:
-    stored column d*P + j of w_out and b_out is element [j, d] here, so each
-    (hidden unit, attribute) mask row gates a contiguous D-long run of weights
-    for every head output j.
+
+def _head_major(params: MadeParams) -> tuple[np.ndarray, np.ndarray]:
+    """(w_out (H, P, D) contiguous, b_out (P*D,)): stored column d*P + j is element [j, d].
+
+    Head-major, each (hidden unit, attribute) mask row gates a contiguous
+    D-long run of weights for every head output j.
     """
-    masks = params.masks
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
-    out_masks = masks.output_masks[members]  # (M', H, D)
-    n_members = out_masks.shape[0]
-    hidden = np.matmul(x, params.w_in * masks.input_masks[members]) + params.b_in
-    np.maximum(hidden, 0.0, out=hidden)
     w_out = np.ascontiguousarray(params.w_out.reshape(h, d, p).transpose(0, 2, 1))
-    masked_w_out = w_out * out_masks[:, :, None, :]
-    b_out = params.b_out.reshape(d, p).T.ravel()
+    return w_out, params.b_out.reshape(d, p).T.ravel()
+
+
+def _masked_w_out(params: MadeParams, w_out: np.ndarray, members: slice) -> np.ndarray:
+    """Head-major output weights (M', H, P, D) of the members in `members`, each under its mask."""
+    return w_out * params.masks.output_masks[members][:, :, None, :]
+
+
+def _members_forward(params: MadeParams, x: np.ndarray, head_major, members: slice):
+    """hidden (M', B, H) ReLU activations and raw (M', B, P, D) of the members in `members`.
+
+    `head_major` is `_head_major(params)`, built once per pass.
+    """
+    w_out, b_out = head_major
+    masked_w_out = _masked_w_out(params, w_out, members)
+    n_members, h, p, d = masked_w_out.shape
+    hidden = np.matmul(x, params.w_in * params.masks.input_masks[members]) + params.b_in
+    np.maximum(hidden, 0.0, out=hidden)
     raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d)) + b_out
-    return masked_w_out, hidden, raw.reshape(n_members, x.shape[0], p, d)
+    return hidden, raw.reshape(n_members, x.shape[0], p, d)
 
 
 def _mixture_link(raw: np.ndarray, k: int):
@@ -264,37 +289,63 @@ def _mixture_link(raw: np.ndarray, k: int):
     return log_mix, raw[..., k : 2 * k, :], sigmas
 
 
-def forward_ensemble(params: MadeParams, x: np.ndarray) -> ForwardCache:
-    """Run every ensemble member on a batch and assemble the mixture log-density."""
-    x = _validate_input(x, params.n_attributes)
-    masked_w_out, hidden, raw = _members_forward(params, x)
-
+def _head_terms(params: MadeParams, x: np.ndarray, raw: np.ndarray) -> dict[str, np.ndarray]:
+    """log_cond (M', B, D) and, for mixtures, the log-space terms backprop reads."""
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         z = (x[None, :, None, :] - means) / sigmas
         log_norm = -0.5 * LOG_2PI - np.log(sigmas) - 0.5 * z * z
-        scored = log_mix + log_norm  # (M, B, K, D)
-        log_cond = _logsumexp(scored, axis=-2)  # (M, B, D)
-        head_cache = dict(log_mix=log_mix, sigmas=sigmas, scored=scored, log_cond=log_cond)
-    else:
-        logit = raw[..., 0, :]  # (M, B, D)
-        # stable log-masses: log(phi) = -softplus(-t), log(1-phi) = -softplus(t)
-        log_cond = -(x[None, :, :] * _softplus(-logit) + (1.0 - x[None, :, :]) * _softplus(logit))
-        head_cache = {}
-    member_ld = log_cond.sum(axis=-1)  # (M, B)
+        scored = log_mix + log_norm  # (M', B, K, D)
+        log_cond = _logsumexp(scored, axis=-2)
+        return dict(log_cond=log_cond, log_mix=log_mix, sigmas=sigmas, scored=scored)
+    logit = raw[..., 0, :]  # (M', B, D)
+    # stable log-masses: log(phi) = -softplus(-t), log(1-phi) = -softplus(t)
+    return dict(log_cond=-(x * _softplus(-logit) + (1.0 - x) * _softplus(logit)))
 
+
+def _member_tiles(params: MadeParams, x: np.ndarray, head_major):
+    """(members, hidden, raw, head terms) of each MEMBER_TILE-member tile, in member order."""
+    for members in _tiles(params.masks.n_members, MEMBER_TILE):
+        hidden, raw = _members_forward(params, x, head_major, members)
+        yield members, hidden, raw, _head_terms(params, x, raw)
+
+
+def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = True) -> ForwardCache:
+    """Run every ensemble member on a batch and assemble the mixture log-density.
+
+    Members run in tiles of MEMBER_TILE, so each tile's masked weights are
+    built, used and dropped while in cache.  With `for_backprop` every
+    per-member array backprop reads is kept at full (M, B, ...) size.
+    Without it rows run in tiles of ROW_TILE and only x and log_density are
+    kept, so memory does not grow with B beyond the input and the output.
+    """
+    x = _validate_input(x, params.n_attributes)
+    head_major = _head_major(params)
+    n_members = params.masks.n_members
+    if not for_backprop:
+        log_density = np.empty(x.shape[0])
+        for rows in _tiles(x.shape[0], ROW_TILE):
+            x_rows = x[rows]
+            member_ld = np.empty((n_members, x_rows.shape[0]))
+            for members, _, _, terms in _member_tiles(params, x_rows, head_major):
+                member_ld[members] = terms["log_cond"].sum(axis=-1)
+            log_density[rows] = _logsumexp(member_ld, axis=0) - np.log(n_members)
+        return ForwardCache(x=x, log_density=log_density)
+
+    kept: dict[str, np.ndarray] = {}
+    for members, hidden, raw, terms in _member_tiles(params, x, head_major):
+        terms.update(hidden=hidden, raw=raw, member_logdensity=terms["log_cond"].sum(axis=-1))
+        for name, arr in terms.items():
+            if name not in kept:
+                kept[name] = np.empty((n_members, *arr.shape[1:]))
+            kept[name][members] = arr
+    member_ld = kept["member_logdensity"]
     total = _logsumexp(member_ld, axis=0)  # (B,)
-    member_weight = np.exp(member_ld - total[None, :])
-    log_density = total - np.log(params.masks.n_members)
     return ForwardCache(
         x=x,
-        masked_w_out=masked_w_out,
-        hidden=hidden,
-        raw=raw,
-        member_logdensity=member_ld,
-        member_weight=member_weight,
-        log_density=log_density,
-        **head_cache,
+        log_density=total - np.log(n_members),
+        member_weight=np.exp(member_ld - total[None, :]),
+        **kept,
     )
 
 
@@ -303,42 +354,53 @@ def backprop_log_density(
 ) -> dict[str, np.ndarray]:
     """Gradient of sum_i coeff[i] * log_density(x_i) w.r.t. every weight and bias.
 
-    Masks are constants; masked-out weights receive exactly zero gradient.
+    Runs over the member tiles of the forward pass, rebuilding each tile's
+    masked output weights.  Masks are constants; masked-out weights receive
+    exactly zero gradient.
     """
     masks = params.masks
-    m, b = masks.n_members, cache.x.shape[0]
+    x, b = cache.x, cache.x.shape[0]
     h, d, p, k = params.n_hidden, params.n_attributes, params.head_width, params.n_components
+    w_out, _ = _head_major(params)
     upstream = cache.member_weight * coeff[None, :]  # (M, B): d(obj)/d(member_ld)
+    w_in_grad, b_in_grad = np.zeros((d, h)), np.zeros(h)
+    w_out_grad, b_out_grad = np.zeros((h, p, d)), np.zeros(p * d)
 
-    if params.head == GAUSSIAN_MIXTURE:
-        u = upstream[:, :, None, None]
-        resp = np.exp(cache.scored - cache.log_cond[..., None, :])  # softmax over components
-        weighted = u * resp  # (M, B, K, D)
-        diff = cache.x[None, :, None, :] - cache.raw[..., k : 2 * k, :]  # x - means
-        inv_sigma = 1.0 / cache.sigmas
-        g_logits = u * (resp - np.exp(cache.log_mix))
-        g_means = weighted * diff * inv_sigma * inv_sigma
-        g_sigma = weighted * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
-        # scale raw feeds sigma through a softplus link
-        g_scale_raw = g_sigma * sigmoid(cache.raw[..., 2 * k :, :])
-        raw_grad = np.concatenate([g_logits, g_means, g_scale_raw], axis=-2)
-    else:
-        g_logit = upstream[:, :, None] * (cache.x[None, :, :] - sigmoid(cache.raw[..., 0, :]))
-        raw_grad = g_logit[:, :, None, :]
-
-    raw_grad = raw_grad.reshape(m, b, p * d)
-    member_w_out_grad = np.matmul(cache.hidden.transpose(0, 2, 1), raw_grad).reshape(m, h, p, d)
+    for members in _tiles(masks.n_members, MEMBER_TILE):
+        raw, hidden = cache.raw[members], cache.hidden[members]
+        if params.head == GAUSSIAN_MIXTURE:
+            u = upstream[members, :, None, None]
+            resp = np.exp(cache.scored[members] - cache.log_cond[members][..., None, :])
+            weighted = u * resp  # (M', B, K, D)
+            diff = x[None, :, None, :] - raw[..., k : 2 * k, :]  # x - means
+            inv_sigma = 1.0 / cache.sigmas[members]
+            g_logits = u * (resp - np.exp(cache.log_mix[members]))
+            g_means = weighted * diff * inv_sigma * inv_sigma
+            g_sigma = weighted * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
+            # scale raw feeds sigma through a softplus link
+            g_scale_raw = g_sigma * sigmoid(raw[..., 2 * k :, :])
+            raw_grad = np.concatenate([g_logits, g_means, g_scale_raw], axis=-2)
+        else:
+            raw_grad = upstream[members, :, None] * (x[None, :, :] - sigmoid(raw[..., 0, :]))
+        n_members = hidden.shape[0]
+        raw_grad = raw_grad.reshape(n_members, b, p * d)
+        member_w_out_grad = np.matmul(hidden.transpose(0, 2, 1), raw_grad)
+        member_w_out_grad = member_w_out_grad.reshape(n_members, h, p, d)
+        w_out_grad += np.einsum("mhpd,mhd->hpd", member_w_out_grad, masks.output_masks[members])
+        b_out_grad += raw_grad.sum(axis=(0, 1))
+        masked_w_out = _masked_w_out(params, w_out, members).reshape(n_members, h, p * d)
+        hidden_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
+        # hidden > 0 is the ReLU's pre > 0 mask, NaN and -0.0 included
+        pre_grad = hidden_grad * (hidden > 0.0)
+        w_in_grad += (np.matmul(x.T[None, :, :], pre_grad) * masks.input_masks[members]).sum(axis=0)
+        b_in_grad += pre_grad.sum(axis=(0, 1))
     # both output gradients go back from the (P, D) compute order to the stored d*P + j columns
-    w_out_grad = np.einsum("mhpd,mhd->hdp", member_w_out_grad, masks.output_masks)
-    w_out_grad = w_out_grad.reshape(h, d * p)
-    b_out_grad = raw_grad.sum(axis=(0, 1)).reshape(p, d).T.ravel()
-    masked_w_out = cache.masked_w_out.reshape(m, h, p * d)
-    hidden_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
-    # hidden > 0 is the ReLU's pre > 0 mask, NaN and -0.0 included
-    pre_grad = hidden_grad * (cache.hidden > 0.0)
-    w_in_grad = (np.matmul(cache.x.T[None, :, :], pre_grad) * masks.input_masks).sum(axis=0)
-    b_in_grad = pre_grad.sum(axis=(0, 1))
-    return {"w_in": w_in_grad, "b_in": b_in_grad, "w_out": w_out_grad, "b_out": b_out_grad}
+    return {
+        "w_in": w_in_grad,
+        "b_in": b_in_grad,
+        "w_out": w_out_grad.transpose(0, 2, 1).reshape(h, d * p),
+        "b_out": b_out_grad.reshape(p, d).T.ravel(),
+    }
 
 
 def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> ConditionalParams:
@@ -349,7 +411,8 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
     masks = params.masks
     if not 0 <= mask_index < masks.n_members:
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
-    raw = _members_forward(params, x, slice(mask_index, mask_index + 1))[2][0, 0]  # (P, D)
+    member = slice(mask_index, mask_index + 1)
+    raw = _members_forward(params, x, _head_major(params), member)[1][0, 0]  # (P, D)
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(
@@ -366,7 +429,8 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
 
 def log_density_batch(params: MadeParams, x: np.ndarray) -> np.ndarray:
     """Exact log-density of each row under the uniform ensemble mixture."""
-    return forward_ensemble(params, x).log_density
+    # the flag goes positionally: the benchmark's row counter takes (params, x, *rest)
+    return forward_ensemble(params, x, False).log_density
 
 
 def log_density(params: MadeParams, x: np.ndarray) -> float:
@@ -430,8 +494,9 @@ def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
 def load_model(path: str):
     """Inverse of save_model; returns (MadeParams, NormStats or None).
 
-    A file that is not an .npz archive, or lacks an array or header key, fails
-    with a one-line ValueError naming the file.
+    A file that is not an .npz archive, lacks an array or header key, or holds
+    an array that is not real floating point or not finite, fails with a
+    one-line ValueError naming the file.
     """
     from .data import NormStats
 
@@ -466,10 +531,16 @@ def load_model(path: str):
         # the head-major forward reshapes w_out and b_out by this layout
         arrays = {name: need(payload, name, "array") for name in expected}
         for name, shape in expected.items():
-            if arrays[name].shape != shape:
+            arr = arrays[name]
+            if arr.shape != shape:
+                raise ValueError(f"model file array {name} has shape {arr.shape}, expected {shape}")
+            if not np.issubdtype(arr.dtype, np.floating):
                 raise ValueError(
-                    f"model file array {name} has shape {arrays[name].shape}, expected {shape}"
+                    f"model file {path} array {name} has dtype {arr.dtype}, "
+                    "expected real floating point"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"model file {path} array {name} holds a non-finite value")
         masks = build_masks(
             d,
             h,

@@ -77,7 +77,7 @@ def _objective_with_optional_gradient(params, batch, cfg, want_gradient):
     # the anomaly rows are forwarded only when the ranking term reads them
     supervised = cfg.lam > 0 and n_anom > 0
     rows = np.vstack([batch.normals, batch.anomalies]) if supervised else batch.normals
-    cache = forward_ensemble(params, rows)
+    cache = forward_ensemble(params, rows, want_gradient)
     ld_normals = cache.log_density[:n_norm]
     value = float(ld_normals.mean())
     coeff = np.full(n_norm, 1.0 / n_norm)

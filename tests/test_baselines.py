@@ -9,7 +9,14 @@ from anodens.baselines import (
     knn_score,
     knn_score_batch,
 )
-from anodens.model import GAUSSIAN_MIXTURE, SIGMA_MIN, anomaly_score_batch, build_masks, init_params
+from anodens.model import (
+    GAUSSIAN_MIXTURE,
+    ROW_TILE,
+    SIGMA_MIN,
+    anomaly_score_batch,
+    build_masks,
+    init_params,
+)
 
 
 class TestGaussianBaseline:
@@ -89,6 +96,17 @@ class TestKnnBaseline:
             for q, value in zip(queries, got):
                 dists = np.sort(np.linalg.norm(train - q, axis=1))
                 assert value == pytest.approx(dists[k - 1], abs=1e-12)
+
+    def test_row_tiles_match_single_rows_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        train = rng.normal(size=(40, 3))
+        model = fit_knn(train, k=1)
+        # one row past a tile edge, with stored points in both tiles
+        x = rng.normal(size=(ROW_TILE + 1, 3))
+        x[[0, ROW_TILE]] = train[[3, 9]]
+        got = knn_score_batch(model, x)
+        np.testing.assert_array_equal(got, [knn_score(model, row) for row in x])
+        assert got[0] == 0.0 and got[ROW_TILE] == 0.0
 
     def test_k_out_of_range(self):
         train = np.zeros((5, 2))

@@ -269,6 +269,21 @@ class TestConfigFile:
         assert err == f"error: config {config}: line 2 includes another config\n"
         assert not (out / "model.bin").exists()
 
+    @pytest.mark.parametrize(
+        "line, flag", [("conf={inner}", "--conf"), ("epoch=1", "--epoch")], ids=["conf", "epoch"]
+    )
+    def test_key_that_abbreviates_a_flag_rejected(self, tmp_path, capsys, line, flag):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        inner = tmp_path / "inner.cfg"
+        inner.write_text("epochs=1\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("hidden=16\n" + line.format(inner=inner) + "\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(config), "--data", data, "--out", str(out), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config {config}: unknown option {flag}\n"
+        assert not (out / "model.bin").exists()
+
     def test_malformed_value_fails_like_the_flag(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("epochs=abc\n")

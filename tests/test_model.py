@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,41 @@ class TestLogDensity:
             rtol=1e-12, atol=1e-12,
         )
 
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize(
+        "n_rows", [1, model.ROW_TILE - 1, model.ROW_TILE, model.ROW_TILE + 1]
+    )
+    def test_matches_member_loop_reference_at_tile_edges(self, head, n_rows):
+        # MEMBER_TILE + 1 members, so the last member tile is a partial one
+        params = tiny_params(head=head, seed=31, n_attributes=4, n_hidden=16, n_components=3,
+                             n_orderings=model.MEMBER_TILE + 1, n_masks=1, noise=0.5)
+        x = np.random.default_rng(n_rows).uniform(size=(n_rows, 4))
+        if head == BERNOULLI:
+            x = (x > 0.5).astype(float)
+        reference = reference_log_density(params, x)
+        for for_backprop in (True, False):
+            np.testing.assert_allclose(
+                forward_ensemble(params, x, for_backprop).log_density, reference,
+                rtol=1e-12, atol=1e-12,
+            )
+
+    def test_scoring_memory_grows_only_with_input_and_output(self):
+        params = tiny_params(seed=9, n_attributes=8, n_hidden=64, n_components=3,
+                             n_orderings=4, n_masks=4)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n_rows in (model.ROW_TILE, 8 * model.ROW_TILE):
+            x = rng.uniform(size=(n_rows, 8))
+            tracemalloc.start()
+            try:
+                log_density_batch(params, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / (7 * model.ROW_TILE)
+        # a row's input and output: 8 attributes and one log-density, 8 bytes each
+        assert per_row <= 4 * (8 + 1) * 8
+
     def test_finite_for_extreme_weights(self):
         params = tiny_params(seed=5, noise=0.0)
         for arr in params.trainable().values():
@@ -347,6 +383,31 @@ class TestPersistence:
             load_model(str(path))
         if case.startswith("missing"):
             assert str(exc.value).startswith(f"model file {path} has no ")
+
+    @pytest.mark.parametrize(
+        "name, change, problem",
+        [
+            ("w_out", lambda a: a.astype(np.complex128), "has dtype complex128"),
+            ("b_in", lambda a: a.astype(np.int64), "has dtype int64"),
+            ("w_out", lambda a: np.where(a == a.flat[0], np.nan, a), "holds a non-finite value"),
+            ("norm_maxs", lambda a: a * np.inf, "holds a non-finite value"),
+        ],
+        ids=["complex_w_out", "integer_b_in", "nan_w_out", "inf_norm_maxs"],
+    )
+    def test_rejects_array_that_is_not_real_and_finite(self, tmp_path, name, change, problem):
+        from anodens.data import NormStats
+
+        path = tmp_path / "model.bin"
+        stats = NormStats(("a", "b", "c"), np.zeros(3), np.ones(3))
+        save_model(str(path), tiny_params(seed=4), stats)
+        with np.load(path) as payload:
+            arrays = dict(payload)
+        arrays[name] = change(arrays[name])
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path))
+        assert str(exc.value).startswith(f"model file {path} array {name} {problem}")
 
     @pytest.mark.parametrize(
         "content", [b"", b"w_in=1\n", b"PK\x03\x04truncated"], ids=["empty", "text", "bad_zip"]
