@@ -13,6 +13,7 @@ import io
 import json
 import zipfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +27,18 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 MODEL_FORMAT_VERSION = 1
 
-# Forward and backward run the ensemble MEMBER_TILE members at a time, so a
-# tile's masked output weights (1.1 MB per member at D=30 with the mixture
-# head) are built, used and dropped while in cache.  A scoring-only pass also
-# runs ROW_TILE rows at a time, so its memory is bounded by the tile.  Timed
-# at D=30, H=500 and 100 members on a 2-core x86-64 host: of 1, 2 and 4
-# members per tile, 2 was within a few percent of the fastest on training
-# steps, single rows and 512-row requests, while 1 was slowest on single
-# Bernoulli rows and small models and 4 on 512-row requests.  Every row tile
-# rebuilds the masked weights, so 64-row tiles took 40% longer than 256.
-MEMBER_TILE = 2
+# Forward and backward run the ensemble a tile of members at a time, so a
+# tile's masked weights are built, used and dropped while in cache.  A tile
+# holds as many members as fit TILE_BYTES (see `members_per_tile`): two
+# float64 members at D=30, H=500 with the 3-component mixture head, four in a
+# float32 pass, and a whole small ensemble at once, which spares it the
+# per-tile call overhead.  Timed at D=30, H=500 and 100 members on a 2-core
+# x86-64 host, 2 float64 members per tile was within a few percent of the
+# fastest of 1, 2 and 4 on training steps, single rows and 512-row requests.
+# A scoring-only pass also runs ROW_TILE rows at a time, so its memory is
+# bounded by the tile; every row tile rebuilds the masked weights, so 64-row
+# tiles took 40% longer than 256.
+TILE_BYTES = 2 * 500 * (9 * 30 + 256) * 8
 ROW_TILE = 256
 
 
@@ -56,9 +59,15 @@ def _softplus(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
 
+def as_compute_array(a) -> np.ndarray:
+    """`a` as an array in its compute dtype: float32 stays float32, anything else is float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 def sigmoid(s):
-    """1 / (1 + exp(-s)), overflow-safe for arbitrarily large |s|."""
-    arr = np.asarray(s, dtype=np.float64)
+    """1 / (1 + exp(-s)), overflow-safe for arbitrarily large |s|; float32 stays float32."""
+    arr = as_compute_array(s)
     # exp(-|s|) is exp(-s) for s >= 0 and exp(s) otherwise
     e = np.exp(-np.abs(arr))
     out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
@@ -216,8 +225,9 @@ def choose_head(attribute_kinds) -> str:
 class ForwardCache:
     """Intermediates of a full-ensemble forward pass, kept for backprop.
 
-    Output-layer arrays are head-major, (..., P, D): attribute is the
-    innermost, contiguous axis.  Only log-space head terms are kept; backprop
+    Every array has the dtype of x, the pass's compute dtype.  Output-layer
+    arrays are head-major, (..., P, D): attribute is the innermost,
+    contiguous axis.  Only log-space head terms are kept; backprop
     exponentiates what it needs.  A pass without backprop keeps x and
     log_density alone and leaves every per-member field None.
     """
@@ -236,7 +246,7 @@ class ForwardCache:
 
 
 def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = as_compute_array(x)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != n_attributes:
@@ -251,33 +261,61 @@ def _tiles(n: int, size: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, n, size)]
 
 
-def _head_major(params: MadeParams) -> tuple[np.ndarray, np.ndarray]:
-    """(w_out (H, P, D) contiguous, b_out (P*D,)): stored column d*P + j is element [j, d].
+def members_per_tile(params: MadeParams, dtype) -> int:
+    """Members whose tile arrays fit TILE_BYTES together; at least one.
 
-    Head-major, each (hidden unit, attribute) mask row gates a contiguous
-    D-long run of weights for every head output j.
+    A member's share of a tile is its masked output weights, H*P*D, plus its
+    hidden activations over a row tile, H*ROW_TILE.
     """
+    member_items = params.n_hidden * (params.head_width * params.n_attributes + ROW_TILE)
+    return max(1, TILE_BYTES // (member_items * np.dtype(dtype).itemsize))
+
+
+class _PassWeights(NamedTuple):
+    """Weights of one pass in its compute dtype; float64 reads the stored arrays."""
+
+    w_in: np.ndarray  # (D, H)
+    b_in: np.ndarray  # (H,)
+    # head-major: stored column d*P + j is element [j, d], so each (hidden unit,
+    # attribute) mask row gates a contiguous D-long run of weights per head output j
+    w_out: np.ndarray  # (H, P, D) contiguous
+    b_out: np.ndarray  # (P*D,)
+
+
+def _pass_weights(params: MadeParams, dtype) -> _PassWeights:
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
-    w_out = np.ascontiguousarray(params.w_out.reshape(h, d, p).transpose(0, 2, 1))
-    return w_out, params.b_out.reshape(d, p).T.ravel()
+    return _PassWeights(
+        w_in=params.w_in.astype(dtype, copy=False),
+        b_in=params.b_in.astype(dtype, copy=False),
+        w_out=np.ascontiguousarray(params.w_out.reshape(h, d, p).transpose(0, 2, 1), dtype=dtype),
+        b_out=params.b_out.reshape(d, p).T.ravel().astype(dtype, copy=False),
+    )
 
 
-def _masked_w_out(params: MadeParams, w_out: np.ndarray, members: slice) -> np.ndarray:
-    """Head-major output weights (M', H, P, D) of the members in `members`, each under its mask."""
-    return w_out * params.masks.output_masks[members][:, :, None, :]
+def _tile_masks(masks: MaskSet, members: slice, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(input (M', D, H), output (M', H, D)) masks of a member tile in the pass dtype.
 
-
-def _members_forward(params: MadeParams, x: np.ndarray, head_major, members: slice):
-    """hidden (M', B, H) ReLU activations and raw (M', B, P, D) of the members in `members`.
-
-    `head_major` is `_head_major(params)`, built once per pass.
+    Cast tile by tile, so a float32 pass never holds a float32 copy of every mask.
     """
-    w_out, b_out = head_major
-    masked_w_out = _masked_w_out(params, w_out, members)
+    return (
+        masks.input_masks[members].astype(dtype, copy=False),
+        masks.output_masks[members].astype(dtype, copy=False),
+    )
+
+
+def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
+    """Head-major output weights (M', H, P, D) of a member tile, each under its mask."""
+    return w_out * output_masks[:, :, None, :]
+
+
+def _members_forward(params: MadeParams, weights: _PassWeights, x: np.ndarray, members: slice):
+    """hidden (M', B, H) ReLU activations and raw (M', B, P, D) of the members in `members`."""
+    input_masks, output_masks = _tile_masks(params.masks, members, x.dtype)
+    masked_w_out = _masked_w_out(weights.w_out, output_masks)
     n_members, h, p, d = masked_w_out.shape
-    hidden = np.matmul(x, params.w_in * params.masks.input_masks[members]) + params.b_in
+    hidden = np.matmul(x, weights.w_in * input_masks) + weights.b_in
     np.maximum(hidden, 0.0, out=hidden)
-    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d)) + b_out
+    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d)) + weights.b_out
     return hidden, raw.reshape(n_members, x.shape[0], p, d)
 
 
@@ -303,47 +341,56 @@ def _head_terms(params: MadeParams, x: np.ndarray, raw: np.ndarray) -> dict[str,
     return dict(log_cond=-(x * _softplus(-logit) + (1.0 - x) * _softplus(logit)))
 
 
-def _member_tiles(params: MadeParams, x: np.ndarray, head_major):
-    """(members, hidden, raw, head terms) of each MEMBER_TILE-member tile, in member order."""
-    for members in _tiles(params.masks.n_members, MEMBER_TILE):
-        hidden, raw = _members_forward(params, x, head_major, members)
+def _member_tiles(params: MadeParams, x: np.ndarray, weights: _PassWeights):
+    """(members, hidden, raw, head terms) of each member tile, in member order."""
+    for members in _tiles(params.masks.n_members, members_per_tile(params, x.dtype)):
+        hidden, raw = _members_forward(params, weights, x, members)
         yield members, hidden, raw, _head_terms(params, x, raw)
+
+
+def _member_logdensity(params: MadeParams, x: np.ndarray, weights: _PassWeights) -> np.ndarray:
+    """(M, B) member log-densities; the last member tile's arrays are freed on return."""
+    member_ld = np.empty((params.masks.n_members, x.shape[0]), dtype=x.dtype)
+    for members, _, _, terms in _member_tiles(params, x, weights):
+        member_ld[members] = terms["log_cond"].sum(axis=-1)
+    return member_ld
 
 
 def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = True) -> ForwardCache:
     """Run every ensemble member on a batch and assemble the mixture log-density.
 
-    Members run in tiles of MEMBER_TILE, so each tile's masked weights are
-    built, used and dropped while in cache.  With `for_backprop` every
-    per-member array backprop reads is kept at full (M, B, ...) size.
-    Without it rows run in tiles of ROW_TILE and only x and log_density are
-    kept, so memory does not grow with B beyond the input and the output.
+    The pass computes in the dtype of x: float32 rows give a float32 pass,
+    any other rows a float64 one.  Members run in tiles of
+    `members_per_tile`, so each tile's masked weights are built, used and
+    dropped while in cache.  With `for_backprop` every per-member array
+    backprop reads is kept at full (M, B, ...) size.  Without it rows run in
+    tiles of ROW_TILE and only x and log_density are kept, so memory does not
+    grow with B beyond the input and the output.
     """
     x = _validate_input(x, params.n_attributes)
-    head_major = _head_major(params)
+    weights = _pass_weights(params, x.dtype)
     n_members = params.masks.n_members
+    # a Python float, so it cannot promote a float32 pass to float64
+    log_n_members = float(np.log(n_members))
     if not for_backprop:
-        log_density = np.empty(x.shape[0])
+        log_density = np.empty(x.shape[0], dtype=x.dtype)
         for rows in _tiles(x.shape[0], ROW_TILE):
-            x_rows = x[rows]
-            member_ld = np.empty((n_members, x_rows.shape[0]))
-            for members, _, _, terms in _member_tiles(params, x_rows, head_major):
-                member_ld[members] = terms["log_cond"].sum(axis=-1)
-            log_density[rows] = _logsumexp(member_ld, axis=0) - np.log(n_members)
+            member_ld = _member_logdensity(params, x[rows], weights)
+            log_density[rows] = _logsumexp(member_ld, axis=0) - log_n_members
         return ForwardCache(x=x, log_density=log_density)
 
     kept: dict[str, np.ndarray] = {}
-    for members, hidden, raw, terms in _member_tiles(params, x, head_major):
+    for members, hidden, raw, terms in _member_tiles(params, x, weights):
         terms.update(hidden=hidden, raw=raw, member_logdensity=terms["log_cond"].sum(axis=-1))
         for name, arr in terms.items():
             if name not in kept:
-                kept[name] = np.empty((n_members, *arr.shape[1:]))
+                kept[name] = np.empty((n_members, *arr.shape[1:]), dtype=arr.dtype)
             kept[name][members] = arr
     member_ld = kept["member_logdensity"]
     total = _logsumexp(member_ld, axis=0)  # (B,)
     return ForwardCache(
         x=x,
-        log_density=total - np.log(n_members),
+        log_density=total - log_n_members,
         member_weight=np.exp(member_ld - total[None, :]),
         **kept,
     )
@@ -354,20 +401,22 @@ def backprop_log_density(
 ) -> dict[str, np.ndarray]:
     """Gradient of sum_i coeff[i] * log_density(x_i) w.r.t. every weight and bias.
 
-    Runs over the member tiles of the forward pass, rebuilding each tile's
-    masked output weights.  Masks are constants; masked-out weights receive
-    exactly zero gradient.
+    Runs in the dtype of cache.x over the member tiles of the forward pass,
+    rebuilding each tile's masked output weights, and returns float64
+    arrays.  Masks are constants; masked-out weights receive exactly zero
+    gradient.
     """
-    masks = params.masks
     x, b = cache.x, cache.x.shape[0]
     h, d, p, k = params.n_hidden, params.n_attributes, params.head_width, params.n_components
-    w_out, _ = _head_major(params)
-    upstream = cache.member_weight * coeff[None, :]  # (M, B): d(obj)/d(member_ld)
-    w_in_grad, b_in_grad = np.zeros((d, h)), np.zeros(h)
-    w_out_grad, b_out_grad = np.zeros((h, p, d)), np.zeros(p * d)
+    weights = _pass_weights(params, x.dtype)
+    # d(obj)/d(member_ld), (M, B)
+    upstream = cache.member_weight * np.asarray(coeff, dtype=x.dtype)[None, :]
+    w_in_grad, b_in_grad = np.zeros((d, h), x.dtype), np.zeros(h, x.dtype)
+    w_out_grad, b_out_grad = np.zeros((h, p, d), x.dtype), np.zeros(p * d, x.dtype)
 
-    for members in _tiles(masks.n_members, MEMBER_TILE):
+    for members in _tiles(params.masks.n_members, members_per_tile(params, x.dtype)):
         raw, hidden = cache.raw[members], cache.hidden[members]
+        input_masks, output_masks = _tile_masks(params.masks, members, x.dtype)
         if params.head == GAUSSIAN_MIXTURE:
             u = upstream[members, :, None, None]
             resp = np.exp(cache.scored[members] - cache.log_cond[members][..., None, :])
@@ -386,21 +435,23 @@ def backprop_log_density(
         raw_grad = raw_grad.reshape(n_members, b, p * d)
         member_w_out_grad = np.matmul(hidden.transpose(0, 2, 1), raw_grad)
         member_w_out_grad = member_w_out_grad.reshape(n_members, h, p, d)
-        w_out_grad += np.einsum("mhpd,mhd->hpd", member_w_out_grad, masks.output_masks[members])
+        w_out_grad += np.einsum("mhpd,mhd->hpd", member_w_out_grad, output_masks)
         b_out_grad += raw_grad.sum(axis=(0, 1))
-        masked_w_out = _masked_w_out(params, w_out, members).reshape(n_members, h, p * d)
+        masked_w_out = _masked_w_out(weights.w_out, output_masks).reshape(n_members, h, p * d)
         hidden_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
         # hidden > 0 is the ReLU's pre > 0 mask, NaN and -0.0 included
         pre_grad = hidden_grad * (hidden > 0.0)
-        w_in_grad += (np.matmul(x.T[None, :, :], pre_grad) * masks.input_masks[members]).sum(axis=0)
+        member_w_in_grad = np.matmul(x.T[None, :, :], pre_grad) * input_masks
+        w_in_grad += member_w_in_grad.sum(axis=0)
         b_in_grad += pre_grad.sum(axis=(0, 1))
     # both output gradients go back from the (P, D) compute order to the stored d*P + j columns
-    return {
+    grads = {
         "w_in": w_in_grad,
         "b_in": b_in_grad,
         "w_out": w_out_grad.transpose(0, 2, 1).reshape(h, d * p),
         "b_out": b_out_grad.reshape(p, d).T.ravel(),
     }
+    return {name: grad.astype(np.float64, copy=False) for name, grad in grads.items()}
 
 
 def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> ConditionalParams:
@@ -412,7 +463,7 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
     if not 0 <= mask_index < masks.n_members:
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
     member = slice(mask_index, mask_index + 1)
-    raw = _members_forward(params, x, _head_major(params), member)[1][0, 0]  # (P, D)
+    raw = _members_forward(params, _pass_weights(params, x.dtype), x, member)[1][0, 0]  # (P, D)
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(

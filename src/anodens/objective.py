@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MadeParams, backprop_log_density, forward_ensemble, log_density_batch, sigmoid
+from .model import (
+    MadeParams,
+    as_compute_array,
+    backprop_log_density,
+    forward_ensemble,
+    log_density_batch,
+    sigmoid,
+)
 
 
 @dataclass
@@ -27,12 +34,14 @@ class ObjectiveConfig:
 
 @dataclass
 class LabeledBatch:
+    """Rows of one objective evaluation, computed in the normals' dtype (float32 or float64)."""
+
     normals: np.ndarray  # (n_normals, D), non-empty
     anomalies: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __post_init__(self):
-        self.normals = np.atleast_2d(np.asarray(self.normals, dtype=np.float64))
-        self.anomalies = np.atleast_2d(np.asarray(self.anomalies, dtype=np.float64))
+        self.normals = np.atleast_2d(as_compute_array(self.normals))
+        self.anomalies = np.atleast_2d(np.asarray(self.anomalies, dtype=self.normals.dtype))
         if self.normals.shape[0] == 0:
             raise ValueError("batch needs at least one normal instance")
         if self.anomalies.size and self.anomalies.shape[1] != self.normals.shape[1]:

@@ -140,6 +140,22 @@ def _batch_slices(n: int, batch_size: int):
         yield slice(start, min(start + batch_size, n))
 
 
+def _float32_rows(rows: np.ndarray) -> np.ndarray:
+    """Training rows cast once to float32, the dtype every training step computes in.
+
+    Parameters, ADAM state and validation scoring stay float64.  A finite
+    value beyond float32's range fails here rather than as a non-finite input.
+    """
+    with np.errstate(over="raise"):
+        try:
+            return np.asarray(rows, dtype=np.float32)
+        except FloatingPointError:
+            raise ValueError(
+                f"training rows hold a value beyond float32 range "
+                f"(|x| > {np.finfo(np.float32).max:.4g}); normalize the data first"
+            ) from None
+
+
 def train(
     init: MadeParams,
     ds: Dataset,
@@ -158,8 +174,10 @@ def train(
     if len(bundle.val_normal) == 0 or len(bundle.val_anom) == 0:
         raise ValueError("validation split needs both normals and anomalies")
 
-    train_normals = np.asarray(ds.attributes[np.asarray(bundle.train_normal)], dtype=np.float64)
-    train_anoms = ds.attributes[np.asarray(bundle.train_anom if lam > 0 else (), dtype=np.int64)]
+    train_normals = _float32_rows(ds.attributes[np.asarray(bundle.train_normal)])
+    train_anoms = _float32_rows(
+        ds.attributes[np.asarray(bundle.train_anom if lam > 0 else (), dtype=np.int64)]
+    )
     val_normals = np.asarray(ds.attributes[np.asarray(bundle.val_normal)], dtype=np.float64)
     val_anoms = np.asarray(ds.attributes[np.asarray(bundle.val_anom)], dtype=np.float64)
 

@@ -152,3 +152,13 @@ def reference_log_density(params, x):
             log_cond = -np.where(x == 1.0, np.logaddexp(0.0, -logit), np.logaddexp(0.0, logit))
         member_ld.append(log_cond.sum(axis=1))
     return np.logaddexp.reduce(np.array(member_ld), axis=0) - np.log(masks.n_members)
+
+
+def assert_same_model(got, want):
+    """Every weight array bit-identical in value and dtype, and the same head and masks."""
+    assert (got.head, got.n_components) == (want.head, want.n_components)
+    for name, arr in want.trainable().items():
+        other = got.trainable()[name]
+        assert other.dtype == arr.dtype and other.tobytes() == arr.tobytes(), name
+    for name in ("orderings", "hidden_degrees", "input_masks", "output_masks"):
+        assert np.array_equal(getattr(got.masks, name), getattr(want.masks, name)), name

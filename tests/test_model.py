@@ -1,8 +1,12 @@
 import json
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anodens import model
 from anodens.model import (
@@ -20,8 +24,15 @@ from anodens.model import (
     log_density_batch,
     save_model,
 )
+from anodens.objective import LabeledBatch, ObjectiveConfig, gradient
 
-from helpers import gaussian_logpdf, reference_log_density, tiny_params, trapezoid_mixture_mass
+from helpers import (
+    assert_same_model,
+    gaussian_logpdf,
+    reference_log_density,
+    tiny_params,
+    trapezoid_mixture_mass,
+)
 
 
 def connectivity_paths(masks, member):
@@ -249,10 +260,13 @@ class TestLogDensity:
         "n_rows", [1, model.ROW_TILE - 1, model.ROW_TILE, model.ROW_TILE + 1]
     )
     def test_matches_member_loop_reference_at_tile_edges(self, head, n_rows):
-        # MEMBER_TILE + 1 members, so the last member tile is a partial one
-        params = tiny_params(head=head, seed=31, n_attributes=4, n_hidden=16, n_components=3,
-                             n_orderings=model.MEMBER_TILE + 1, n_masks=1, noise=0.5)
-        x = np.random.default_rng(n_rows).uniform(size=(n_rows, 4))
+        # the paper's D and H, so a tile holds few members; one member more
+        # than a tile, so the last member tile is a partial one
+        shape = dict(head=head, seed=31, n_attributes=30, n_hidden=500, n_components=3,
+                     n_masks=1, noise=0.5)
+        tile = model.members_per_tile(tiny_params(n_orderings=1, **shape), np.float64)
+        params = tiny_params(n_orderings=tile + 1, **shape)
+        x = np.random.default_rng(n_rows).uniform(size=(n_rows, 30))
         if head == BERNOULLI:
             x = (x > 0.5).astype(float)
         reference = reference_log_density(params, x)
@@ -290,6 +304,41 @@ class TestLogDensity:
         params = tiny_params(seed=0)
         with pytest.raises(ValueError, match="non-finite"):
             log_density(params, np.array([0.1, np.inf, 0.2]))
+
+
+class TestComputeDtype:
+    """A pass computes in the dtype of its rows: float32 stays float32, all else is float64."""
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    def test_float32_pass_keeps_every_array_float32(self, head):
+        params = tiny_params(head=head, seed=6, n_attributes=8, n_hidden=64, n_components=3)
+        x = np.random.default_rng(6).uniform(size=(67, 8)).astype(np.float32)
+        if head == BERNOULLI:
+            x = (x > 0.5).astype(np.float32)
+        for for_backprop in (True, False):
+            cache = forward_ensemble(params, x, for_backprop)
+            kept = {name: arr.dtype for name, arr in vars(cache).items() if arr is not None}
+            assert set(kept.values()) == {np.dtype(np.float32)}, kept
+            assert ("member_weight" in kept) == for_backprop
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    def test_float64_rows_give_float64_results(self, head):
+        params = tiny_params(head=head, seed=7, n_attributes=8, n_hidden=64, n_components=3)
+        x = np.random.default_rng(7).uniform(size=(10, 8))
+        if head == BERNOULLI:
+            x = (x > 0.5).astype(np.float64)
+        for rows in (x, x.tolist(), (x > 0.5).astype(np.int64)):
+            assert log_density_batch(params, rows).dtype == np.float64
+        cache = forward_ensemble(params, x)
+        assert all(arr.dtype == np.float64 for arr in vars(cache).values() if arr is not None)
+        grads = gradient(params, LabeledBatch(x[:7], x[7:]), ObjectiveConfig(lam=10.0))
+        assert all(grad.dtype == np.float64 for grad in grads.values())
+
+    def test_sigmoid_keeps_float32_and_returns_a_float_for_a_scalar(self):
+        assert model.sigmoid(np.ones(3, dtype=np.float32)).dtype == np.float32
+        assert model.sigmoid(np.ones(3, dtype=np.float16)).dtype == np.float64
+        assert type(model.sigmoid(0.5)) is float
+        assert type(model.sigmoid(np.float32(0.5))) is float
 
 
 class TestConditionalNormalization:
@@ -346,6 +395,29 @@ class TestPersistence:
         loaded, stats = load_model(str(path))
         assert stats is None
         assert loaded.head == BERNOULLI
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        head=st.sampled_from([GAUSSIAN_MIXTURE, BERNOULLI]),
+        n_attributes=st.integers(2, 9),
+        n_hidden=st.integers(1, 24),
+        n_components=st.integers(1, 4),
+        n_orderings=st.integers(1, 3),
+        n_masks=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_is_bit_identical_for_random_shapes(
+        self, head, n_attributes, n_hidden, n_components, n_orderings, n_masks, seed
+    ):
+        params = tiny_params(head=head, seed=seed, n_attributes=n_attributes, n_hidden=n_hidden,
+                             n_components=n_components, n_orderings=n_orderings,
+                             n_masks=n_masks, noise=1.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.bin")
+            save_model(path, params)
+            loaded, stats = load_model(path)
+        assert_same_model(loaded, params)
+        assert stats is None
 
     @pytest.mark.parametrize(
         "case",

@@ -218,6 +218,28 @@ class TestGradient:
             )
             assert worst <= 1e-4
 
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("lam", [0.0, 1e3])
+    def test_float32_pass_agrees_with_float64(self, head, lam):
+        # training steps run on float32 rows; the FD gate above certifies the float64 path
+        for seed in range(3):
+            params = tiny_params(head=head, seed=seed, n_attributes=8, n_hidden=64,
+                                 n_components=3)
+            batch = random_batch(head, seed, n_attributes=8, n_normals=64, n_anomalies=3)
+            cfg = ObjectiveConfig(lam=lam)
+            value32, grads32 = objective_and_gradient(
+                params,
+                LabeledBatch(batch.normals.astype(np.float32),
+                             batch.anomalies.astype(np.float32)),
+                cfg,
+            )
+            value64 = objective_value(params, batch, cfg)
+            assert abs(value32 - value64) <= 1e-5 * abs(value64)
+            for name, grad64 in gradient(params, batch, cfg).items():
+                assert grads32[name].dtype == np.float64
+                scale = np.abs(grad64).max()
+                assert np.abs(grads32[name] - grad64).max() <= 1e-4 * scale, name
+
     def test_lambda_zero_is_pure_loglik_gradient_bitwise(self):
         params = tiny_params(seed=10, noise=0.5)
         batch = random_batch(GAUSSIAN_MIXTURE, seed=10)

@@ -3,8 +3,15 @@ import pytest
 
 from anodens.data import dedup, normalize_minmax, split
 from anodens.metrics import auc
-from anodens.model import GAUSSIAN_MIXTURE, anomaly_score_batch, build_masks, init_params
-from anodens.objective import normal_loglik
+from anodens.model import (
+    GAUSSIAN_MIXTURE,
+    anomaly_score_batch,
+    build_masks,
+    init_params,
+    load_model,
+    save_model,
+)
+from anodens.objective import normal_loglik, objective_and_gradient
 from anodens.synth import make_scenario
 from anodens.training import (
     AdamState,
@@ -17,6 +24,8 @@ from anodens.training import (
 )
 
 import anodens.training as training_module
+
+from helpers import assert_same_model
 
 
 def quick_cfg(**kw):
@@ -174,6 +183,33 @@ class TestTrain:
         train(init, ds, bundle, quick_cfg(), 0.0)
         for name, arr in init.trainable().items():
             np.testing.assert_array_equal(arr, snapshot[name])
+
+    def test_float32_steps_leave_float64_parameters_and_files(
+        self, tmp_path, scenario_data, monkeypatch
+    ):
+        ds, bundle = scenario_data
+        step_dtypes = set()
+
+        def recording_step(params, batch, cfg):
+            step_dtypes.update({batch.normals.dtype, batch.anomalies.dtype})
+            return objective_and_gradient(params, batch, cfg)
+
+        monkeypatch.setattr(training_module, "objective_and_gradient", recording_step)
+        params, _ = train(fresh_init(ds), ds, bundle, quick_cfg(max_epochs=3), 1000.0)
+        assert step_dtypes == {np.dtype(np.float32)}
+        assert all(arr.dtype == np.float64 for arr in params.trainable().values())
+        path = str(tmp_path / "model.bin")
+        save_model(path, params)
+        with np.load(path) as payload:
+            assert all(payload[name].dtype == np.float64 for name in params.trainable())
+        loaded, _ = load_model(path)
+        assert_same_model(loaded, params)
+
+    def test_rows_beyond_float32_range_rejected(self, scenario_data):
+        ds, bundle = scenario_data
+        huge = type(ds)(ds.attributes * 1e39, ds.labels, ds.attribute_names, ds.attribute_kinds)
+        with pytest.raises(ValueError, match="beyond float32 range"):
+            train(fresh_init(ds), huge, bundle, quick_cfg(), 0.0)
 
     def test_report_csv(self, tmp_path, scenario_data):
         ds, bundle = scenario_data
