@@ -77,10 +77,18 @@ class NormStats:
 
     def apply(self, x: np.ndarray, clip: bool = True) -> np.ndarray:
         """Map rows onto the stored [0, 1] ranges; unseen values are clamped."""
-        x = np.asarray(x, dtype=np.float64)
-        span = self.maxs - self.mins
+        x, lo = np.asarray(x, dtype=np.float64), self.mins
+        with np.errstate(over="ignore"):
+            span = self.maxs - lo
+        overflows = np.isinf(span)
+        if overflows.any():
+            # a finite column whose range overflows float64 is mapped at half
+            # scale: halving is exact there, and x/2 - min/2 cannot overflow
+            scale = np.where(overflows, 0.5, 1.0)
+            x, lo = x * scale, lo * scale
+            span = self.maxs * scale - lo
         safe = np.where(span > 0, span, 1.0)
-        out = (x - self.mins) / safe
+        out = (x - lo) / safe
         out = np.where(span > 0, out, 0.0)  # constant columns collapse to 0
         if clip:
             out = np.clip(out, 0.0, 1.0)

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import zipfile
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +43,9 @@ MODEL_FORMAT_VERSION = 1
 # tiles took 40% longer than 256.
 TILE_BYTES = 2 * 500 * (9 * 30 + 256) * 8
 ROW_TILE = 256
+
+# The variables OpenBLAS reads its thread count from, in its order of precedence.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _head_width(head: str, n_components: int) -> int:
@@ -257,8 +263,97 @@ def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
 
 
 def _tiles(n: int, size: int) -> list[slice]:
-    """Consecutive slices of at most `size` covering range(n)."""
-    return [slice(start, start + size) for start in range(0, n, size)]
+    """Consecutive slices of at most `size` covering range(n), each within it."""
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+class TileWorkers(NamedTuple):
+    """How many member tiles of a pass run at once, and what that was derived from."""
+
+    workers: int  # usable_cores // blas_threads, at least 1
+    usable_cores: int  # cores this process may run on
+    blas_threads: int  # threads each BLAS call may use
+    blas_threads_from: str | None  # variable that set blas_threads; None: unset, so every core
+
+
+def tile_workers() -> TileWorkers:
+    """Tiles a pass runs at once: the usable cores divided by the BLAS threads.
+
+    BLAS takes its thread count from the first positive integer among
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, as OpenBLAS
+    does.  With none of them set it already runs every call on every usable
+    core, so tiles run one at a time.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    for name in _BLAS_THREAD_VARIABLES:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return TileWorkers(max(1, cores // threads), cores, threads, name)
+    return TileWorkers(1, cores, cores, None)
+
+
+# One pool per process, like the BLAS threads it sits beside: made on first
+# use, never at import, and dropped in a forked child, which has none of the
+# parent's threads.  A pool replaced by one of another size is dropped too;
+# its idle threads exit once it is collected.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _tile_pool(threads: int) -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None or _pool[0] != threads:
+        _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="anodens-tile"))
+    return _pool[1]
+
+
+def _map_tiles(task, tiles: list):
+    """task(tile) for each tile, yielded in tile order, `tile_workers()` tiles at a time.
+
+    The calling thread runs tiles too, beside a pool of workers - 1 threads,
+    and at most `workers` tiles are started and not yet yielded at any time.
+    With one worker this is map(task, tiles).  If a tile raises,
+    the exception reaches the caller only once no tile is running.
+    """
+    workers = tile_workers().workers
+    if min(workers, len(tiles)) <= 1:
+        yield from map(task, tiles)
+        return
+    pool = _tile_pool(workers - 1)
+    window: deque[tuple[Future, bool]] = deque()  # (future, ran in the pool) per started tile
+    started = 0
+    try:
+        while window or started < len(tiles):
+            pooled = sum(in_pool for _, in_pool in window)
+            while started < len(tiles) and len(window) < workers and pooled < workers - 1:
+                window.append((pool.submit(task, tiles[started]), True))
+                started, pooled = started + 1, pooled + 1
+            if window[0][0].done() or started == len(tiles) or len(window) == workers:
+                yield window.popleft()[0].result()
+            else:
+                # the oldest tile is still running: run the next one here meanwhile
+                local = Future()
+                local.set_result(task(tiles[started]))
+                window.append((local, False))
+                started += 1
+    finally:
+        for future, _ in window:
+            future.cancel()
+        wait([future for future, _ in window])
 
 
 def members_per_tile(params: MadeParams, dtype) -> int:
@@ -308,14 +403,24 @@ def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
     return w_out * output_masks[:, :, None, :]
 
 
-def _members_forward(params: MadeParams, weights: _PassWeights, x: np.ndarray, members: slice):
-    """hidden (M', B, H) ReLU activations and raw (M', B, P, D) of the members in `members`."""
+def _members_forward(
+    params: MadeParams, weights: _PassWeights, x: np.ndarray, members: slice, out=None
+):
+    """hidden (M', B, H) ReLU activations and raw (M', B, P, D) of the members in `members`.
+
+    With `out`, a (hidden, raw) pair of C-contiguous arrays of those shapes,
+    both are computed in it.  Biases and the ReLU apply in place.
+    """
     input_masks, output_masks = _tile_masks(params.masks, members, x.dtype)
     masked_w_out = _masked_w_out(weights.w_out, output_masks)
     n_members, h, p, d = masked_w_out.shape
-    hidden = np.matmul(x, weights.w_in * input_masks) + weights.b_in
+    hidden, raw = (None, None) if out is None else out
+    hidden = np.matmul(x, weights.w_in * input_masks, out=hidden)
+    hidden += weights.b_in
     np.maximum(hidden, 0.0, out=hidden)
-    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d)) + weights.b_out
+    raw = None if raw is None else raw.reshape(n_members, x.shape[0], p * d)
+    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d), out=raw)
+    raw += weights.b_out
     return hidden, raw.reshape(n_members, x.shape[0], p, d)
 
 
@@ -341,19 +446,27 @@ def _head_terms(params: MadeParams, x: np.ndarray, raw: np.ndarray) -> dict[str,
     return dict(log_cond=-(x * _softplus(-logit) + (1.0 - x) * _softplus(logit)))
 
 
-def _member_tiles(params: MadeParams, x: np.ndarray, weights: _PassWeights):
-    """(members, hidden, raw, head terms) of each member tile, in member order."""
-    for members in _tiles(params.masks.n_members, members_per_tile(params, x.dtype)):
-        hidden, raw = _members_forward(params, weights, x, members)
-        yield members, hidden, raw, _head_terms(params, x, raw)
+def _kept_shapes(params: MadeParams) -> dict[str, tuple[int, ...]]:
+    """Per-member, per-row shape of each array a pass for backprop keeps."""
+    h, p, d, k = params.n_hidden, params.head_width, params.n_attributes, params.n_components
+    shapes = dict(hidden=(h,), raw=(p, d), log_cond=(d,), member_logdensity=())
+    if params.head == GAUSSIAN_MIXTURE:
+        shapes.update(log_mix=(k, d), sigmas=(k, d), scored=(k, d))
+    return shapes
 
 
 def _member_logdensity(params: MadeParams, x: np.ndarray, weights: _PassWeights) -> np.ndarray:
-    """(M, B) member log-densities; the last member tile's arrays are freed on return."""
-    member_ld = np.empty((params.masks.n_members, x.shape[0]), dtype=x.dtype)
-    for members, _, _, terms in _member_tiles(params, x, weights):
-        member_ld[members] = terms["log_cond"].sum(axis=-1)
-    return member_ld
+    """(M, B) member log-densities; each tile task returns only its (M', B) share."""
+
+    def tile_logdensity(members: slice) -> np.ndarray:
+        # the result is allocated before the tile's temporaries, so it outlives
+        # them without pinning the heap above the space they free
+        member_ld = np.empty((members.stop - members.start, x.shape[0]), dtype=x.dtype)
+        raw = _members_forward(params, weights, x, members)[1]
+        return _head_terms(params, x, raw)["log_cond"].sum(axis=-1, out=member_ld)
+
+    tiles = _tiles(params.masks.n_members, members_per_tile(params, x.dtype))
+    return np.concatenate(list(_map_tiles(tile_logdensity, tiles)))
 
 
 def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = True) -> ForwardCache:
@@ -361,11 +474,12 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
 
     The pass computes in the dtype of x: float32 rows give a float32 pass,
     any other rows a float64 one.  Members run in tiles of
-    `members_per_tile`, so each tile's masked weights are built, used and
-    dropped while in cache.  With `for_backprop` every per-member array
-    backprop reads is kept at full (M, B, ...) size.  Without it rows run in
-    tiles of ROW_TILE and only x and log_density are kept, so memory does not
-    grow with B beyond the input and the output.
+    `members_per_tile`, up to `tile_workers()` tiles at once, so each tile's
+    masked weights are built, used and dropped while in cache.  With
+    `for_backprop` every per-member array backprop reads is kept at full
+    (M, B, ...) size.  Without it rows run in tiles of ROW_TILE and only x
+    and log_density are kept, so memory does not grow with B beyond the
+    input and the output.
     """
     x = _validate_input(x, params.n_attributes)
     weights = _pass_weights(params, x.dtype)
@@ -379,13 +493,21 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
             log_density[rows] = _logsumexp(member_ld, axis=0) - log_n_members
         return ForwardCache(x=x, log_density=log_density)
 
-    kept: dict[str, np.ndarray] = {}
-    for members, hidden, raw, terms in _member_tiles(params, x, weights):
-        terms.update(hidden=hidden, raw=raw, member_logdensity=terms["log_cond"].sum(axis=-1))
+    kept = {
+        name: np.empty((n_members, x.shape[0], *shape), dtype=x.dtype)
+        for name, shape in _kept_shapes(params).items()
+    }
+
+    def keep_tile(members: slice) -> None:
+        out = (kept["hidden"][members], kept["raw"][members])
+        raw = _members_forward(params, weights, x, members, out)[1]
+        terms = _head_terms(params, x, raw)
+        terms["member_logdensity"] = terms["log_cond"].sum(axis=-1)
         for name, arr in terms.items():
-            if name not in kept:
-                kept[name] = np.empty((n_members, *arr.shape[1:]), dtype=arr.dtype)
             kept[name][members] = arr
+
+    for _ in _map_tiles(keep_tile, _tiles(n_members, members_per_tile(params, x.dtype))):
+        pass
     member_ld = kept["member_logdensity"]
     total = _logsumexp(member_ld, axis=0)  # (B,)
     return ForwardCache(
@@ -402,19 +524,20 @@ def backprop_log_density(
     """Gradient of sum_i coeff[i] * log_density(x_i) w.r.t. every weight and bias.
 
     Runs in the dtype of cache.x over the member tiles of the forward pass,
-    rebuilding each tile's masked output weights, and returns float64
-    arrays.  Masks are constants; masked-out weights receive exactly zero
-    gradient.
+    up to `tile_workers()` at once, rebuilding each tile's masked output
+    weights, and returns float64 arrays.  Masks are constants; masked-out
+    weights receive exactly zero gradient.
     """
     x, b = cache.x, cache.x.shape[0]
     h, d, p, k = params.n_hidden, params.n_attributes, params.head_width, params.n_components
     weights = _pass_weights(params, x.dtype)
     # d(obj)/d(member_ld), (M, B)
     upstream = cache.member_weight * np.asarray(coeff, dtype=x.dtype)[None, :]
-    w_in_grad, b_in_grad = np.zeros((d, h), x.dtype), np.zeros(h, x.dtype)
-    w_out_grad, b_out_grad = np.zeros((h, p, d), x.dtype), np.zeros(p * d, x.dtype)
 
-    for members in _tiles(params.masks.n_members, members_per_tile(params, x.dtype)):
+    def tile_grads(members: slice) -> tuple[np.ndarray, ...]:
+        """This tile's (w_in, b_in, w_out (H, P, D), b_out (P*D,)) gradient partials."""
+        # allocated before the tile's temporaries, as in tile_logdensity
+        parts = tuple(np.empty(shape, x.dtype) for shape in ((d, h), (h,), (h, p, d), (p * d,)))
         raw, hidden = cache.raw[members], cache.hidden[members]
         input_masks, output_masks = _tile_masks(params.masks, members, x.dtype)
         if params.head == GAUSSIAN_MIXTURE:
@@ -435,15 +558,28 @@ def backprop_log_density(
         raw_grad = raw_grad.reshape(n_members, b, p * d)
         member_w_out_grad = np.matmul(hidden.transpose(0, 2, 1), raw_grad)
         member_w_out_grad = member_w_out_grad.reshape(n_members, h, p, d)
-        w_out_grad += np.einsum("mhpd,mhd->hpd", member_w_out_grad, output_masks)
-        b_out_grad += raw_grad.sum(axis=(0, 1))
+        np.einsum("mhpd,mhd->hpd", member_w_out_grad, output_masks, out=parts[2])
         masked_w_out = _masked_w_out(weights.w_out, output_masks).reshape(n_members, h, p * d)
-        hidden_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
-        # hidden > 0 is the ReLU's pre > 0 mask, NaN and -0.0 included
-        pre_grad = hidden_grad * (hidden > 0.0)
-        member_w_in_grad = np.matmul(x.T[None, :, :], pre_grad) * input_masks
-        w_in_grad += member_w_in_grad.sum(axis=0)
-        b_in_grad += pre_grad.sum(axis=(0, 1))
+        # the hidden gradient, masked in place by hidden > 0 (the ReLU's pre > 0
+        # mask, NaN and -0.0 included), becomes the pre-activation gradient
+        pre_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
+        pre_grad *= hidden > 0.0
+        member_w_in_grad = np.matmul(x.T[None, :, :], pre_grad)
+        member_w_in_grad *= input_masks
+        member_w_in_grad.sum(axis=0, out=parts[0])
+        pre_grad.sum(axis=(0, 1), out=parts[1])
+        raw_grad.sum(axis=(0, 1), out=parts[3])
+        return parts
+
+    w_in_grad, b_in_grad = np.zeros((d, h), x.dtype), np.zeros(h, x.dtype)
+    w_out_grad, b_out_grad = np.zeros((h, p, d), x.dtype), np.zeros(p * d, x.dtype)
+    # summed here in tile order, so the sum is the same whatever the worker count
+    tiles = _tiles(params.masks.n_members, members_per_tile(params, x.dtype))
+    for w_in_part, b_in_part, w_out_part, b_out_part in _map_tiles(tile_grads, tiles):
+        w_in_grad += w_in_part
+        b_in_grad += b_in_part
+        w_out_grad += w_out_part
+        b_out_grad += b_out_part
     # both output gradients go back from the (P, D) compute order to the stored d*P + j columns
     grads = {
         "w_in": w_in_grad,

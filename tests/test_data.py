@@ -1,6 +1,10 @@
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anodens.data import (
@@ -137,6 +141,58 @@ class TestNormalize:
         stats = NormStats(("a",), np.array([0.0]), np.array([10.0]))
         out = stats.apply(np.array([[-5.0], [5.0], [20.0]]))
         assert out[:, 0].tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "column, expected",
+        [([-1e308, 0.0, 1e308], [0.0, 0.5, 1.0]), ([-1.7e308, 1.7e308], [0.0, 1.0])],
+    )
+    def test_column_whose_range_overflows_maps_exactly(self, column, expected):
+        ds = Dataset(np.array(column)[:, None], [0] * len(column), ("a",), (CONTINUOUS,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, stats = normalize_minmax(ds)
+            unseen = stats.apply(np.array([[-np.finfo(float).max], [np.finfo(float).max]]))
+        assert out.attributes[:, 0].tolist() == expected
+        assert unseen[:, 0].tolist() == [0.0, 1.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 4).flatmap(lambda d: st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, 1.0, -0.0, 5e-324, np.finfo(float).max,
+                                     -np.finfo(float).max]),
+                ),
+                min_size=d, max_size=d,
+            ),
+            min_size=1, max_size=12,
+        ))
+    )
+    @example(rows=[[-1e308], [0.0], [1e308]])
+    @example(rows=[[-1.7e308, 0.0], [1.7e308, 1.0]])
+    def test_csv_training_rows_map_into_unit_interval_exactly(self, rows):
+        names = [f"a{j}" for j in range(len(rows[0]))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            # repr round-trips every finite float exactly through the CSV
+            write_csv(path, names + ["label"],
+                      [[repr(float(v)) for v in row] + [i % 2] for i, row in enumerate(rows)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ds = dedup(load_csv(path, "label"))
+                normalized, stats = normalize_minmax(ds)
+                out = stats.apply(ds.attributes, clip=False)
+        np.testing.assert_array_equal(out, normalized.attributes)
+        assert ((out >= 0.0) & (out <= 1.0)).all()
+        for j, kind in enumerate(ds.attribute_kinds):
+            column = ds.attributes[:, j]
+            if kind == BINARY:
+                np.testing.assert_array_equal(out[:, j], column)
+            elif column.min() < column.max():
+                assert out[column.argmin(), j] == 0.0 and out[column.argmax(), j] == 1.0
+            else:
+                assert (out[:, j] == 0.0).all()
 
     def test_stats_roundtrip(self, tmp_path, toy_dataset):
         _, stats = normalize_minmax(toy_dataset)

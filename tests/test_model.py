@@ -1,6 +1,11 @@
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anodens
 from anodens import model
 from anodens.model import (
     BERNOULLI,
@@ -24,7 +30,7 @@ from anodens.model import (
     log_density_batch,
     save_model,
 )
-from anodens.objective import LabeledBatch, ObjectiveConfig, gradient
+from anodens.objective import LabeledBatch, ObjectiveConfig, gradient, objective_and_gradient
 
 from helpers import (
     assert_same_model,
@@ -490,6 +496,148 @@ class TestPersistence:
         with pytest.raises(ValueError) as exc:
             load_model(str(path))
         assert str(exc.value) == f"model file {path} is not an .npz archive"
+
+    def test_every_truncation_fails_with_one_line_naming_the_file(self, tmp_path):
+        params = tiny_params(seed=44, n_attributes=4, n_hidden=6, n_components=2,
+                             n_orderings=2, n_masks=2)
+        whole = tmp_path / "model.bin"
+        save_model(str(whole), params)
+        data = whole.read_bytes()
+        path = tmp_path / "cut.bin"
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError) as exc:
+                load_model(str(path))
+            message = str(exc.value)
+            assert str(path) in message and "\n" not in message, (size, message)
+
+
+class TestTileWorkers:
+    """A pass runs its member tiles on a pool; every result is bitwise the one-worker result."""
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        forced = model.TileWorkers(workers, workers, 1, "OPENBLAS_NUM_THREADS")
+        monkeypatch.setattr(model, "tile_workers", lambda: forced)
+
+    @staticmethod
+    def small_tiles(monkeypatch, params, members):
+        """Tiles of `members` float64 (2 * members float32) members and 4-row scoring tiles."""
+        monkeypatch.setattr(model, "ROW_TILE", 4)
+        member_bytes = params.n_hidden * (params.head_width * params.n_attributes + 4) * 8
+        monkeypatch.setattr(model, "TILE_BYTES", members * member_bytes)
+
+    def test_worker_count_is_usable_cores_over_blas_threads(self, monkeypatch):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        cores = model.tile_workers().usable_cores
+        assert model.tile_workers() == (1, cores, cores, None)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert model.tile_workers() == (cores, cores, 1, "OMP_NUM_THREADS")
+        # OpenBLAS's own variable wins; a value that is not a positive integer is skipped
+        monkeypatch.setenv("GOTO_NUM_THREADS", "0")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cores))
+        assert model.tile_workers() == (1, cores, cores, "OPENBLAS_NUM_THREADS")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")
+        assert model.tile_workers() == (cores, cores, 1, "OMP_NUM_THREADS")
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_more_workers_match_one_bit_for_bit(self, monkeypatch, head, dtype):
+        # 7 members: float64 tiles of 2, 2, 2, 1 and float32 tiles of 4, 3
+        params = tiny_params(head=head, seed=41, n_attributes=6, n_hidden=32, n_components=3,
+                             n_orderings=7, n_masks=1, noise=0.5)
+        self.small_tiles(monkeypatch, params, 2)
+        x = np.random.default_rng(41).uniform(size=(9, 6))
+        if head == BERNOULLI:
+            x = (x > 0.5).astype(float)
+        x = x.astype(dtype)
+        batch, cfg = LabeledBatch(x[:6], x[6:]), ObjectiveConfig(lam=10.0)
+        tile_threads = set()
+        members_forward = model._members_forward
+
+        def recorded(*args):
+            tile_threads.add(threading.current_thread().name)
+            return members_forward(*args)
+
+        monkeypatch.setattr(model, "_members_forward", recorded)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so interleavings vary
+        try:
+            # two workers, and more workers than cores
+            for workers in (1, 2, (os.cpu_count() or 1) + 2):
+                self.force_workers(monkeypatch, workers)
+                tile_threads.clear()
+                value, grads = objective_and_gradient(params, batch, cfg)
+                results[workers] = [log_density_batch(params, x), np.float64(value),
+                                    *grads.values(), *gradient(params, batch, cfg).values()]
+                if workers > 1:
+                    assert any(name.startswith("anodens-tile") for name in tile_threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for workers, arrays in results.items():
+            for one, many in zip(results[1], arrays):
+                assert one.dtype == many.dtype and one.tobytes() == many.tobytes(), workers
+
+    def test_worker_exception_reaches_the_caller_once_no_tile_runs(self, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        params = tiny_params(seed=42, n_orderings=6, n_masks=1)
+        self.small_tiles(monkeypatch, params, 1)
+        running, lock, tile_1_started = [0], threading.Lock(), threading.Event()
+        members_forward = model._members_forward
+
+        def tile(params, weights, x, members, *out):
+            with lock:
+                running[0] += 1
+            try:
+                # the pool gets tiles 0 and 1 first; tile 0 fails while tile 1 runs on
+                if members.start == 0:
+                    tile_1_started.wait(10)
+                    raise RuntimeError(f"tile 0 failed in {threading.current_thread().name}")
+                if members.start == 1:
+                    tile_1_started.set()
+                time.sleep(0.2 if members.start == 1 else 0.01)
+                return members_forward(params, weights, x, members, *out)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(model, "_members_forward", tile)
+        with pytest.raises(RuntimeError, match=r"^tile 0 failed in anodens-tile"):
+            log_density_batch(params, np.full((3, 3), 0.5))
+        assert running[0] == 0
+
+    def test_importing_anodens_starts_no_thread(self):
+        code = "import threading, anodens; print(threading.active_count(), anodens.model._pool)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anodens.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["1", "None"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_forked_child_can_still_score(self, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        params = tiny_params(seed=43, n_orderings=4, n_masks=1)
+        self.small_tiles(monkeypatch, params, 1)
+        x = np.random.default_rng(43).uniform(size=(5, 3))
+        expected = log_density_batch(params, x)  # the pool now has a thread the child lacks
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if log_density_batch(params, x).tobytes() == expected.tobytes() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish scoring within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestSoftplus:
