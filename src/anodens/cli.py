@@ -31,6 +31,10 @@ from .model import (
 from .training import DEFAULT_LAMBDA_GRID, TrainConfig, sweep_lambda, train
 
 
+# the --label value that scores rows without a label column
+NO_LABEL = "none"
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not values:
@@ -164,26 +168,27 @@ def _check_binary(attributes, names, path) -> None:
 def cmd_score(args) -> int:
     out = _output_dir(args, "model", "data")
     params, stats = load_model(args.model)
-    ds = datamod.load_csv(args.data, args.label)
-    attributes = ds.attributes
+    # only the explicit opt-out reads unlabeled rows; a missing label column still fails
+    table = datamod.read_csv(args.data, None if args.label == NO_LABEL else args.label)
+    attributes = table.attributes
     if stats is not None:
-        _check_attribute_names(ds.attribute_names, stats.attribute_names)
+        _check_attribute_names(table.attribute_names, stats.attribute_names)
         # clamping would turn an out-of-range binary value into 0 or 1
         attributes = stats.apply(attributes, clip=params.head != BERNOULLI)
     if params.head == BERNOULLI:
-        _check_binary(attributes, ds.attribute_names, args.data)
+        _check_binary(attributes, table.attribute_names, args.data)
     scores = anomaly_score_batch(params, attributes)
-    report = metrics.report_from_scores(np.arange(ds.n_instances), ds.labels, scores)
+    report = metrics.report_from_scores(np.arange(len(scores)), table.labels, scores)
     report.write_csv(str(out / "scores.csv"))
     metrics.write_json_summary(str(out / "score_summary.json"), report.to_json_dict())
     if args.roc and report.auc is not None:
-        points = metrics.roc_points(scores[ds.labels == 1], scores[ds.labels == 0])
+        points = metrics.roc_points(scores[table.labels == 1], scores[table.labels == 0])
         with open(out / "roc.tsv", "w", encoding="utf-8") as fh:
             fh.write("threshold\tfpr\ttpr\n")
             for t, fpr, tpr in points:
                 fh.write(f"{_fmt(t)}\t{float(fpr)!r}\t{float(tpr)!r}\n")
     auc_text = "n/a" if report.auc is None else _fmt(report.auc)
-    print(f"scored {ds.n_instances} instances auc={auc_text}")
+    print(f"scored {len(scores)} instances auc={auc_text}")
     return 0
 
 
@@ -279,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     files = argparse.ArgumentParser(add_help=False)
     files.add_argument("--config", help="key=value file of flags without --; flags win")
     files.add_argument("--data", help="CSV dataset path")
-    files.add_argument("--label", default="label", help="label column name or index")
+    files.add_argument(
+        "--label", default="label",
+        help=f"label column name or index; score also takes {NO_LABEL!r}, for data without one",
+    )
     files.add_argument("--out", help="output directory")
 
     fit = argparse.ArgumentParser(add_help=False)

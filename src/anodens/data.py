@@ -6,6 +6,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,12 +175,19 @@ def _parse_label(token: str, line_no: int) -> int:
     return int(value)
 
 
-def load_csv(path: str, label_column) -> Dataset:
-    """Load a headered CSV into a Dataset.
+class CsvTable(NamedTuple):
+    """The attribute columns of a CSV and, when it has one, its label column."""
+
+    attributes: np.ndarray  # (n_rows, n_attributes) float64
+    labels: np.ndarray | None  # (n_rows,) int64 in {0, 1}; None without a label column
+    attribute_names: tuple[str, ...]
+
+
+def read_csv(path: str, label_column) -> CsvTable:
+    """Read a headered CSV; `label_column` None reads every column as an attribute.
 
     The label column (selected by name or index) must hold 0/1 values or the
-    strings "normal"/"anomaly".  Columns whose observed values are all 0 or 1
-    are flagged binary, everything else continuous.
+    strings "normal"/"anomaly".
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -189,7 +197,7 @@ def load_csv(path: str, label_column) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError("zero data rows (empty file)") from None
-        label_idx = _resolve_label_column(header, label_column)
+        label_idx = None if label_column is None else _resolve_label_column(header, label_column)
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -198,7 +206,8 @@ def load_csv(path: str, label_column) -> Dataset:
                 raise ValueError(
                     f"ragged row on line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            labels.append(_parse_label(row[label_idx], line_no))
+            if label_idx is not None:
+                labels.append(_parse_label(row[label_idx], line_no))
             try:
                 values = [float(v) for i, v in enumerate(row) if i != label_idx]
             except ValueError:
@@ -211,12 +220,25 @@ def load_csv(path: str, label_column) -> Dataset:
     names = tuple(n for i, n in enumerate(header) if i != label_idx)
     if not names:
         raise ValueError("no attribute columns besides the label")
-    attributes = np.array(rows, dtype=np.float64)
+    return CsvTable(
+        np.array(rows, dtype=np.float64),
+        None if label_idx is None else np.array(labels, dtype=np.int64),
+        names,
+    )
+
+
+def load_csv(path: str, label_column) -> Dataset:
+    """Load a headered CSV with a label column (see `read_csv`) into a Dataset.
+
+    Columns whose observed values are all 0 or 1 are flagged binary,
+    everything else continuous.
+    """
+    attributes, labels, names = read_csv(path, label_column)
     kinds = tuple(
         BINARY if np.isin(attributes[:, j], (0.0, 1.0)).all() else CONTINUOUS
         for j in range(attributes.shape[1])
     )
-    return Dataset(attributes, np.array(labels), names, kinds)
+    return Dataset(attributes, labels, names, kinds)
 
 
 def csv_line_numbers(path: str) -> list[int]:

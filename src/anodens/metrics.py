@@ -66,11 +66,11 @@ class ScoreReport:
     """Per-instance anomaly scores plus the AUC of anomalies vs normals."""
 
     indices: np.ndarray  # original dataset row indices
-    labels: np.ndarray
+    labels: np.ndarray | None  # None for unlabeled rows
     scores: np.ndarray
-    auc: float | None  # None when the rows hold only one class
-    n_anomalies: int
-    n_normals: int
+    auc: float | None  # None when the rows hold only one class or no labels
+    n_anomalies: int | None  # None for unlabeled rows, as is n_normals
+    n_normals: int | None
 
     def to_json_dict(self, **extra) -> dict:
         out = {
@@ -84,15 +84,18 @@ class ScoreReport:
     def write_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("index,label,score\n")
-            for idx, label, score in zip(self.indices, self.labels, self.scores):
-                fh.write(f"{int(idx)},{int(label)},{float(score)!r}\n")
+            labels = [""] * len(self.scores) if self.labels is None else map(int, self.labels)
+            for idx, label, score in zip(self.indices, labels, self.scores):
+                fh.write(f"{int(idx)},{label},{float(score)!r}\n")
 
 
 def report_from_scores(indices, labels, scores) -> ScoreReport:
-    """Report over labeled scores; its auc is None when only one class is present."""
+    """Report over scores; auc is None when one class or, with labels None, no labels are present."""
     indices = np.asarray(indices, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
+    if labels is None:
+        return ScoreReport(indices, None, scores, auc=None, n_anomalies=None, n_normals=None)
+    labels = np.asarray(labels, dtype=np.int64)
     anom = scores[labels == 1]
     norm = scores[labels == 0]
     return ScoreReport(

@@ -31,7 +31,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 MODEL_FORMAT_VERSION = 1
 
 # Forward and backward run the ensemble a tile of members at a time, so a
-# tile's masked weights are built, used and dropped while in cache.  A tile
+# tile's masked operands are built, used and dropped while in cache.  A tile
 # holds as many members as fit TILE_BYTES (see `members_per_tile`): two
 # float64 members at D=30, H=500 with the 3-component mixture head, four in a
 # float32 pass, and a whole small ensemble at once, which spares it the
@@ -40,7 +40,8 @@ MODEL_FORMAT_VERSION = 1
 # fastest of 1, 2 and 4 on training steps, single rows and 512-row requests.
 # A scoring-only pass also runs ROW_TILE rows at a time, so its memory is
 # bounded by the tile; every row tile rebuilds the masked weights, so 64-row
-# tiles took 40% longer than 256.
+# tiles took 40% longer than 256.  A scoring tile counts activations over its
+# own rows, not ROW_TILE, so a request of few rows runs few, large tiles.
 TILE_BYTES = 2 * 500 * (9 * 30 + 256) * 8
 ROW_TILE = 256
 
@@ -267,6 +268,13 @@ def _tiles(n: int, size: int) -> list[slice]:
     return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
+def _even_tiles(n: int, size: int) -> list[slice]:
+    """As few consecutive slices of at most `size` as cover range(n), their sizes within one."""
+    count = -(-n // size)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 class TileWorkers(NamedTuple):
     """How many member tiles of a pass run at once, and what that was derived from."""
 
@@ -356,13 +364,37 @@ def _map_tiles(task, tiles: list):
         wait([future for future, _ in window])
 
 
-def members_per_tile(params: MadeParams, dtype) -> int:
+def _masks_activations(params: MadeParams, n_rows: int) -> bool:
+    """Whether a scoring tile of `n_rows` rows masks its activations, not its output weights.
+
+    Masked activations cost D*H per row and member, masked output weights
+    H*P*D per member whatever the rows, so activations win on requests of
+    few rows.  Median ms per request of 1..9 rows at D=30, H=500, 100
+    members with the mixture head (P = 9), BLAS on one thread and 2 tile
+    workers on a shared 2-core x86-64 host: activations
+    9/17/21/27/32/32/38/41/49, weights 22/24/26/27/28/29/31/30/32, so they
+    meet at 4 rows.  The Bernoulli head (P = 1) always masks its weights.
+    """
+    return 2 * n_rows <= params.head_width
+
+
+def members_per_tile(params: MadeParams, dtype, scoring_rows: int | None = None) -> int:
     """Members whose tile arrays fit TILE_BYTES together; at least one.
 
-    A member's share of a tile is its masked output weights, H*P*D, plus its
-    hidden activations over a row tile, H*ROW_TILE.
+    A member's share of a tile is its masked operand plus its hidden
+    activations, H per row.  A pass for backprop (`scoring_rows` None) masks
+    the output weights, H*P*D, and counts ROW_TILE rows.  A scoring row tile
+    counts its own `scoring_rows` rows, and its masked operand is either the
+    output weights or, where `_masks_activations` holds, the activations
+    under every attribute's output mask, D*H per row.
     """
-    member_items = params.n_hidden * (params.head_width * params.n_attributes + ROW_TILE)
+    h, p, d = params.n_hidden, params.head_width, params.n_attributes
+    if scoring_rows is None:
+        member_items = h * (p * d + ROW_TILE)
+    elif _masks_activations(params, scoring_rows):
+        member_items = h * (d + 1) * scoring_rows
+    else:
+        member_items = h * (p * d + scoring_rows)
     return max(1, TILE_BYTES // (member_items * np.dtype(dtype).itemsize))
 
 
@@ -409,19 +441,32 @@ def _members_forward(
     """hidden (M', B, H) ReLU activations and raw (M', B, P, D) of the members in `members`.
 
     With `out`, a (hidden, raw) pair of C-contiguous arrays of those shapes,
-    both are computed in it.  Biases and the ReLU apply in place.
+    both are computed in it: a pass for backprop, which masks the output
+    weights.  Without it, a tile of few rows (see `_masks_activations`)
+    masks its activations instead.  Biases and the ReLU apply in place.
     """
     input_masks, output_masks = _tile_masks(params.masks, members, x.dtype)
-    masked_w_out = _masked_w_out(weights.w_out, output_masks)
-    n_members, h, p, d = masked_w_out.shape
+    n_members, b = members.stop - members.start, x.shape[0]
+    h, d, p = params.n_hidden, params.n_attributes, params.head_width
     hidden, raw = (None, None) if out is None else out
     hidden = np.matmul(x, weights.w_in * input_masks, out=hidden)
     hidden += weights.b_in
     np.maximum(hidden, 0.0, out=hidden)
-    raw = None if raw is None else raw.reshape(n_members, x.shape[0], p * d)
+    if out is None and _masks_activations(params, b):
+        # each attribute's copy of the activations under its output mask,
+        # (M', D, B, H), times that attribute's (H, P) weights: each BLAS call
+        # covers one member and attribute, so no result depends on the tiling
+        masked_hidden = hidden[:, None] * output_masks.transpose(0, 2, 1)[:, :, None, :]
+        # the stored (H, D*P) columns, read as (D, H, P): a view in a float64 pass
+        w_out = params.w_out.reshape(h, d, p).transpose(1, 0, 2).astype(x.dtype, copy=False)
+        raw = np.matmul(masked_hidden, w_out)
+        raw = np.add(raw.transpose(0, 2, 3, 1), weights.b_out.reshape(p, d), order="C")
+        return hidden, raw
+    masked_w_out = _masked_w_out(weights.w_out, output_masks)
+    raw = None if raw is None else raw.reshape(n_members, b, p * d)
     raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d), out=raw)
     raw += weights.b_out
-    return hidden, raw.reshape(n_members, x.shape[0], p, d)
+    return hidden, raw.reshape(n_members, b, p, d)
 
 
 def _mixture_link(raw: np.ndarray, k: int):
@@ -465,7 +510,9 @@ def _member_logdensity(params: MadeParams, x: np.ndarray, weights: _PassWeights)
         raw = _members_forward(params, weights, x, members)[1]
         return _head_terms(params, x, raw)["log_cond"].sum(axis=-1, out=member_ld)
 
-    tiles = _tiles(params.masks.n_members, members_per_tile(params, x.dtype))
+    # evened out, so the tiles of a short request end together on the workers;
+    # a member's log-densities do not depend on its tile
+    tiles = _even_tiles(params.masks.n_members, members_per_tile(params, x.dtype, x.shape[0]))
     return np.concatenate(list(_map_tiles(tile_logdensity, tiles)))
 
 
@@ -479,7 +526,8 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
     `for_backprop` every per-member array backprop reads is kept at full
     (M, B, ...) size.  Without it rows run in tiles of ROW_TILE and only x
     and log_density are kept, so memory does not grow with B beyond the
-    input and the output.
+    input and the output; a row tile of at most P/2 rows masks its
+    activations instead of its output weights (see `_masks_activations`).
     """
     x = _validate_input(x, params.n_attributes)
     weights = _pass_weights(params, x.dtype)

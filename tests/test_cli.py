@@ -91,6 +91,45 @@ class TestScoreInputs:
         )
         assert (out / "scores.csv").read_text() == expected
 
+    def test_label_none_scores_unlabeled_rows(self, trained_model, tmp_path, capsys):
+        data, model_path = trained_model
+        path = tmp_path / "unlabeled.csv"
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                for line in data.read_text().splitlines()))
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(path), "--label", "none",
+                   "--out", str(out), "--roc"])
+        assert rc == 0
+        assert capsys.readouterr().out == "scored 100 instances auc=n/a\n"
+        summary = json.loads((out / "score_summary.json").read_text())
+        assert summary == {"auc": None, "n_anomalies": None, "n_normals": None}
+        assert not (out / "roc.tsv").exists()
+        params, stats = load_model(str(model_path))
+        scores = anomaly_score_batch(params, stats.apply(load_csv(str(data), "label").attributes))
+        expected = "index,label,score\n" + "".join(
+            f"{i},,{float(s)!r}\n" for i, s in enumerate(scores)
+        )
+        assert (out / "scores.csv").read_text() == expected
+
+    @pytest.mark.parametrize("label", [None, "lable"], ids=["missing", "misspelt"])
+    def test_label_column_not_in_header_fails(self, trained_model, tmp_path, capsys, label):
+        data, model_path = trained_model
+        if label is None:
+            # unlabeled rows without --label none: the default "label" column is missing
+            path = tmp_path / "unlabeled.csv"
+            path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                    for line in data.read_text().splitlines()))
+        else:
+            path = data
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(path), "--out", str(out),
+                   *([] if label is None else ["--label", label])])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: label column {label or 'label'!r} not found in header\n"
+        )
+        assert not (out / "scores.csv").exists()
+
     def test_swapped_columns_rejected(self, trained_model, tmp_path, capsys):
         data, model_path = trained_model
         rows = [line.split(",") for line in data.read_text().splitlines()]

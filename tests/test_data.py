@@ -15,6 +15,7 @@ from anodens.data import (
     dedup,
     load_csv,
     normalize_minmax,
+    read_csv,
     split,
 )
 
@@ -106,6 +107,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="not found"):
             load_csv(str(path), "target")
 
+
+    def test_without_label_column_every_column_is_an_attribute(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a", "label"], [[1.5, 0], [2.5, 1]])
+        table = read_csv(path, None)
+        assert table.labels is None and table.attribute_names == ("a", "label")
+        assert table.attributes.tolist() == [[1.5, 0.0], [2.5, 1.0]]
+        labeled = read_csv(path, "label")
+        assert labeled.labels.tolist() == [0, 1] and labeled.attribute_names == ("a",)
 
 class TestNormalize:
     def test_linear_map_endpoints(self):

@@ -267,19 +267,20 @@ class TestLogDensity:
     )
     def test_matches_member_loop_reference_at_tile_edges(self, head, n_rows):
         # the paper's D and H, so a tile holds few members; one member more
-        # than a tile, so the last member tile is a partial one
+        # than the pass's first tile, so the members span two tiles
         shape = dict(head=head, seed=31, n_attributes=30, n_hidden=500, n_components=3,
                      n_masks=1, noise=0.5)
-        tile = model.members_per_tile(tiny_params(n_orderings=1, **shape), np.float64)
-        params = tiny_params(n_orderings=tile + 1, **shape)
+        one_member = tiny_params(n_orderings=1, **shape)
         x = np.random.default_rng(n_rows).uniform(size=(n_rows, 30))
         if head == BERNOULLI:
             x = (x > 0.5).astype(float)
-        reference = reference_log_density(params, x)
         for for_backprop in (True, False):
+            scoring_rows = None if for_backprop else min(n_rows, model.ROW_TILE)
+            tile = model.members_per_tile(one_member, np.float64, scoring_rows)
+            params = tiny_params(n_orderings=tile + 1, **shape)
             np.testing.assert_allclose(
-                forward_ensemble(params, x, for_backprop).log_density, reference,
-                rtol=1e-12, atol=1e-12,
+                forward_ensemble(params, x, for_backprop).log_density,
+                reference_log_density(params, x), rtol=1e-12, atol=1e-12,
             )
 
     def test_scoring_memory_grows_only_with_input_and_output(self):
@@ -310,6 +311,109 @@ class TestLogDensity:
         params = tiny_params(seed=0)
         with pytest.raises(ValueError, match="non-finite"):
             log_density(params, np.array([0.1, np.inf, 0.2]))
+
+
+class TestContractionOrders:
+    """A scoring tile of at most P/2 rows masks its activations; any other tile its weights."""
+
+    @staticmethod
+    def force(monkeypatch, masks_activations):
+        monkeypatch.setattr(model, "_masks_activations", lambda params, n_rows: masks_activations)
+
+    @staticmethod
+    def rows(head, n_rows, n_attributes, dtype, seed):
+        x = np.random.default_rng(seed).uniform(size=(n_rows, n_attributes))
+        if head == BERNOULLI:
+            x = (x > 0.5).astype(float)
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("n_attributes", [3, 8, 30])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_activation_and_weight_paths_agree(self, monkeypatch, head, n_attributes, dtype):
+        # 7 members in scoring tiles of 2, 2 and 3, so the tiles differ in size
+        params = tiny_params(head=head, seed=50 + n_attributes, n_attributes=n_attributes,
+                             n_hidden=48, n_components=3, n_orderings=7, n_masks=1, noise=0.5)
+        monkeypatch.setattr(model, "members_per_tile", lambda *args: 3)
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        for n_rows in range(1, params.head_width + 2):
+            x = self.rows(head, n_rows, n_attributes, dtype, n_rows)
+            got = {}
+            for masks_activations in (True, False):
+                self.force(monkeypatch, masks_activations)
+                got[masks_activations] = log_density_batch(params, x)
+                assert got[masks_activations].dtype == dtype
+            np.testing.assert_allclose(got[True], got[False], rtol=rtol, atol=0, err_msg=n_rows)
+
+    def test_few_rows_never_build_masked_output_weights(self, monkeypatch):
+        params = tiny_params(seed=51, n_attributes=8, n_hidden=32, n_components=3, noise=0.5)
+        p = params.head_width  # 9
+
+        def refuse(*args):
+            raise AssertionError("masked output weights built")
+
+        monkeypatch.setattr(model, "_masked_w_out", refuse)
+        for n_rows in range(1, p // 2 + 1):
+            x = self.rows(GAUSSIAN_MIXTURE, n_rows, 8, np.float64, n_rows)
+            np.testing.assert_allclose(log_density_batch(params, x),
+                                       reference_log_density(params, x), rtol=1e-12)
+            forward_conditionals(params, x[0], 0)
+        with pytest.raises(AssertionError, match="masked output weights built"):
+            log_density_batch(params, self.rows(GAUSSIAN_MIXTURE, p // 2 + 1, 8, np.float64, 51))
+        # a Bernoulli head (P = 1) masks its weights even for one row
+        bernoulli = tiny_params(head=BERNOULLI, seed=51, n_attributes=8, n_hidden=32)
+        with pytest.raises(AssertionError, match="masked output weights built"):
+            log_density_batch(bernoulli, self.rows(BERNOULLI, 1, 8, np.float64, 51))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pass_for_backprop_never_masks_activations(self, monkeypatch, dtype):
+        params = tiny_params(seed=52, n_attributes=8, n_hidden=32, n_components=3,
+                             n_orderings=5, n_masks=1, noise=0.5)
+        x = self.rows(GAUSSIAN_MIXTURE, 3, 8, dtype, 52)
+        batch, cfg = LabeledBatch(x[:1], x[1:]), ObjectiveConfig(lam=10.0)
+
+        def arrays():
+            cache = forward_ensemble(params, x[:1])
+            value, grads = objective_and_gradient(params, batch, cfg)
+            return [cache.raw, cache.hidden, cache.log_density, np.float64(value),
+                    *grads.values()]
+
+        expected = arrays()
+        self.force(monkeypatch, True)
+        built = []
+        masked_w_out = model._masked_w_out
+        monkeypatch.setattr(model, "_masked_w_out",
+                            lambda *args: built.append(1) or masked_w_out(*args))
+        for want, got in zip(expected, arrays()):
+            assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
+        # built once per member tile by each of: the single-row forward, and
+        # the objective's forward and backward
+        n_tiles = len(model._tiles(5, model.members_per_tile(params, dtype)))
+        assert len(built) == 3 * n_tiles
+
+    @pytest.mark.parametrize("n, size", [(100, 33), (100, 2), (7, 3), (13, 7), (5, 5), (3, 8)])
+    def test_scoring_member_tiles_are_even(self, n, size):
+        tiles = model._even_tiles(n, size)
+        assert len(tiles) == len(model._tiles(n, size))
+        assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
+        assert tiles[0].start == 0 and tiles[-1].stop == n
+        sizes = {t.stop - t.start for t in tiles}
+        assert max(sizes) <= size and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("masks_activations", [True, False])
+    def test_scores_do_not_depend_on_member_tiling(self, monkeypatch, head, masks_activations):
+        params = tiny_params(head=head, seed=53, n_attributes=8, n_hidden=32, n_components=3,
+                             n_orderings=13, n_masks=1, noise=0.5)
+        self.force(monkeypatch, masks_activations)
+        for dtype in (np.float64, np.float32):
+            for n_rows in (1, 3, 6):
+                x = self.rows(head, n_rows, 8, dtype, n_rows)
+                scores = []
+                for members in (1, 2, 7, 13):
+                    monkeypatch.setattr(model, "members_per_tile", lambda *args: members)
+                    scores.append(log_density_batch(params, x))
+                assert all(s.tobytes() == scores[0].tobytes() for s in scores), (dtype, n_rows)
 
 
 class TestComputeDtype:
