@@ -28,7 +28,8 @@ SIGMA_MIN = 1e-3
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-MODEL_FORMAT_VERSION = 1
+# Format 2 stores the mask recipe; format 1 files, which store only its seed, still load.
+MODEL_FORMAT_VERSION = 2
 
 # Forward and backward run the ensemble a tile of members at a time, so a
 # tile's masked operands are built, used and dropped while in cache.  A tile
@@ -89,7 +90,11 @@ class MaskSet:
     ordering 0 is always the identity.  hidden_degrees[m, h] is drawn
     uniformly from {1, ..., D-1}.  Connectivity: input j feeds hidden unit h
     iff position(j) <= degree(h); hidden h feeds the output group of
-    attribute d iff degree(h) < position(d).
+    attribute d iff degree(h) < position(d).  The orderings and degrees are
+    the whole recipe; the masks are kept beside them as bool, one byte per
+    connection, and a pass applies them from bool, casting at most a member
+    tile's output mask to its dtype.  All four arrays are read-only, so no
+    caller can rewire an ensemble that several models share.
     """
 
     n_attributes: int
@@ -97,10 +102,10 @@ class MaskSet:
     n_orderings: int
     n_masks_per_ordering: int
     seed: int
-    orderings: np.ndarray  # (n_orderings, D) int64
-    hidden_degrees: np.ndarray  # (n_members, H) int64
-    input_masks: np.ndarray  # (n_members, D, H) float64 in {0, 1}
-    output_masks: np.ndarray  # (n_members, H, D) float64 in {0, 1}
+    orderings: np.ndarray  # (n_orderings, D) int64, read-only
+    hidden_degrees: np.ndarray  # (n_members, H) int64, read-only
+    input_masks: np.ndarray  # (n_members, D, H) bool, read-only
+    output_masks: np.ndarray  # (n_members, H, D) bool, read-only
 
     @property
     def n_members(self) -> int:
@@ -108,6 +113,32 @@ class MaskSet:
 
     def ordering_of_member(self, member: int) -> np.ndarray:
         return self.orderings[member // self.n_masks_per_ordering]
+
+
+def _mask_set(orderings, hidden_degrees, n_masks_per_ordering: int, seed: int) -> MaskSet:
+    """The read-only MaskSet of these orderings and degrees.
+
+    The one home of the connectivity rule, for built and for loaded ensembles.
+    """
+    orderings = np.asarray(orderings, dtype=np.int64)
+    degrees = np.asarray(hidden_degrees, dtype=np.int64)
+    position = np.repeat(orderings, n_masks_per_ordering, axis=0)  # (n_members, D)
+    arrays = dict(
+        orderings=orderings,
+        hidden_degrees=degrees,
+        input_masks=position[:, :, None] <= degrees[:, None, :],
+        output_masks=degrees[:, :, None] < position[:, None, :],
+    )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return MaskSet(
+        n_attributes=orderings.shape[1],
+        n_hidden=degrees.shape[1],
+        n_orderings=orderings.shape[0],
+        n_masks_per_ordering=n_masks_per_ordering,
+        seed=seed,
+        **arrays,
+    )
 
 
 def build_masks(
@@ -132,20 +163,7 @@ def build_masks(
         orderings[r] = rng.permutation(d) + 1
     n_members = n_orderings * n_masks_per_ordering
     degrees = rng.integers(1, d, size=(n_members, h), endpoint=False, dtype=np.int64)
-    position = np.repeat(orderings, n_masks_per_ordering, axis=0)  # (n_members, D)
-    input_masks = (position[:, :, None] <= degrees[:, None, :]).astype(np.float64)
-    output_masks = (degrees[:, :, None] < position[:, None, :]).astype(np.float64)
-    return MaskSet(
-        n_attributes=d,
-        n_hidden=h,
-        n_orderings=n_orderings,
-        n_masks_per_ordering=n_masks_per_ordering,
-        seed=seed,
-        orderings=orderings,
-        hidden_degrees=degrees,
-        input_masks=input_masks,
-        output_masks=output_masks,
-    )
+    return _mask_set(orderings, degrees, n_masks_per_ordering, seed)
 
 
 @dataclass
@@ -419,19 +437,16 @@ def _pass_weights(params: MadeParams, dtype) -> _PassWeights:
     )
 
 
-def _tile_masks(masks: MaskSet, members: slice, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(input (M', D, H), output (M', H, D)) masks of a member tile in the pass dtype.
-
-    Cast tile by tile, so a float32 pass never holds a float32 copy of every mask.
-    """
-    return (
-        masks.input_masks[members].astype(dtype, copy=False),
-        masks.output_masks[members].astype(dtype, copy=False),
-    )
-
-
 def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
-    """Head-major output weights (M', H, P, D) of a member tile, each under its mask."""
+    """Head-major output weights (M', H, P, D) of a member tile, each under its mask.
+
+    A bool mask that broadcasts over P > 1 head outputs is cast to the
+    weights' dtype first: one cast of the (M', H, D) tile costs less than
+    the multiply converting it once per output.  With P = 1 the multiply
+    reads it straight from bool.
+    """
+    if w_out.shape[1] > 1:
+        output_masks = output_masks.astype(w_out.dtype, copy=False)
     return w_out * output_masks[:, :, None, :]
 
 
@@ -445,7 +460,8 @@ def _members_forward(
     weights.  Without it, a tile of few rows (see `_masks_activations`)
     masks its activations instead.  Biases and the ReLU apply in place.
     """
-    input_masks, output_masks = _tile_masks(params.masks, members, x.dtype)
+    input_masks = params.masks.input_masks[members]
+    output_masks = params.masks.output_masks[members]
     n_members, b = members.stop - members.start, x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
     hidden, raw = (None, None) if out is None else out
@@ -587,7 +603,9 @@ def backprop_log_density(
         # allocated before the tile's temporaries, as in tile_logdensity
         parts = tuple(np.empty(shape, x.dtype) for shape in ((d, h), (h,), (h, p, d), (p * d,)))
         raw, hidden = cache.raw[members], cache.hidden[members]
-        input_masks, output_masks = _tile_masks(params.masks, members, x.dtype)
+        input_masks = params.masks.input_masks[members]
+        # cast once: the einsum and the masked output weights both read it
+        output_masks = params.masks.output_masks[members].astype(x.dtype)
         if params.head == GAUSSIAN_MIXTURE:
             u = upstream[members, :, None, None]
             resp = np.exp(cache.scored[members] - cache.log_cond[members][..., None, :])
@@ -681,30 +699,38 @@ def anomaly_score(params: MadeParams, x: np.ndarray) -> float:
     return float(anomaly_score_batch(params, x)[0])
 
 
-# header keys of format version 1 besides format_version itself
-_HEADER_KEYS = (
-    "head",
-    "n_components",
-    "n_attributes",
-    "n_hidden",
-    "n_orderings",
-    "n_masks_per_ordering",
-    "mask_seed",
-    "has_norm_stats",
-)
+# Every header key besides format_version: the type its value must have and,
+# for an integer, its least value.  A mixture head also needs n_components >= 1.
+_HEADER_KEYS = {
+    "head": (str, None),
+    "n_components": (int, None),
+    "n_attributes": (int, 2),
+    "n_hidden": (int, 1),
+    "n_orderings": (int, 1),
+    "n_masks_per_ordering": (int, 1),
+    "mask_seed": (int, 0),
+    "has_norm_stats": (bool, None),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
 
 
 def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
-    """Persist weights plus everything needed to rebuild masks (a seeded recipe)."""
+    """Persist weights, the mask recipe (orderings and hidden degrees) and optional stats.
+
+    The orderings and degrees go in the smallest unsigned integer type that
+    holds D; the mask seed stays in the header as provenance.
+    """
+    masks = params.masks
+    recipe_dtype = np.min_scalar_type(masks.n_attributes)
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "head": params.head,
         "n_components": params.n_components,
-        "n_attributes": params.masks.n_attributes,
-        "n_hidden": params.masks.n_hidden,
-        "n_orderings": params.masks.n_orderings,
-        "n_masks_per_ordering": params.masks.n_masks_per_ordering,
-        "mask_seed": params.masks.seed,
+        "n_attributes": masks.n_attributes,
+        "n_hidden": masks.n_hidden,
+        "n_orderings": masks.n_orderings,
+        "n_masks_per_ordering": masks.n_masks_per_ordering,
+        "mask_seed": masks.seed,
         "has_norm_stats": norm_stats is not None,
     }
     arrays = {
@@ -713,6 +739,8 @@ def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
         "b_in": params.b_in.astype(np.float64),
         "w_out": params.w_out.astype(np.float64),
         "b_out": params.b_out.astype(np.float64),
+        "orderings": masks.orderings.astype(recipe_dtype),
+        "hidden_degrees": masks.hidden_degrees.astype(recipe_dtype),
     }
     if norm_stats is not None:
         arrays["norm_mins"] = norm_stats.mins
@@ -729,9 +757,13 @@ def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
 def load_model(path: str):
     """Inverse of save_model; returns (MadeParams, NormStats or None).
 
-    A file that is not an .npz archive, lacks an array or header key, or holds
-    an array that is not real floating point or not finite, fails with a
-    one-line ValueError naming the file.
+    Format 2 builds the masks from the file's stored orderings and degrees,
+    format 1 from its mask seed.  Every check fails with a one-line
+    ValueError naming the file: a file that is not an .npz archive, a
+    missing array or header key, a header value of the wrong type or below
+    its least value, an array of the wrong shape, a weight that is not real
+    floating point or not finite, an ordering that is not a permutation of
+    1..D, and a hidden degree outside [1, D-1].
     """
     from .data import NormStats
 
@@ -742,47 +774,68 @@ def load_model(path: str):
     if not isinstance(payload, np.lib.npyio.NpzFile):
         raise ValueError(f"model file {path} is not an .npz archive")
 
+    def fail(problem: str) -> ValueError:
+        return ValueError(f"model file {path} {problem}")
+
     def need(table, key, kind):
         if key not in table:
-            raise ValueError(f"model file {path} has no {kind} {key!r}")
+            raise fail(f"has no {kind} {key!r}")
         return table[key]
 
     with payload:
-        header = json.loads(bytes(need(payload, "header_json", "array")).decode())
-        if need(header, "format_version", "header key") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {header['format_version']}")
-        for key in _HEADER_KEYS:
-            need(header, key, "header key")
-        head, k = header["head"], int(header["n_components"])
+        header_bytes = bytes(need(payload, "header_json", "array"))
+        try:
+            header = json.loads(header_bytes.decode())
+        except ValueError:  # not UTF-8, or not JSON
+            header = None
+        if not isinstance(header, dict):
+            raise fail("has a header that is not a JSON object")
+        version = need(header, "format_version", "header key")
+        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+            raise fail(f"has unsupported model format version {version!r}")
+        for key, (kind, least) in _HEADER_KEYS.items():
+            value = need(header, key, "header key")
+            if type(value) is not kind:
+                raise fail(f"header key {key!r} is {value!r}, expected {_TYPE_NAMES[kind]}")
+            if least is not None and value < least:
+                raise fail(f"header key {key!r} is {value}, expected at least {least}")
+        head, k = header["head"], header["n_components"]
         if head not in (GAUSSIAN_MIXTURE, BERNOULLI):
-            raise ValueError(f"model file has unknown head {head!r}")
+            raise fail(f"has unknown head {head!r}")
         if head == GAUSSIAN_MIXTURE and k < 1:
-            raise ValueError(f"model file mixture head has {k} components")
+            raise fail(f"mixture head has {k} components")
         d, h = header["n_attributes"], header["n_hidden"]
+        n_orderings, n_masks = header["n_orderings"], header["n_masks_per_ordering"]
         width = d * _head_width(head, k)
         expected = {"w_in": (d, h), "b_in": (h,), "w_out": (h, width), "b_out": (width,)}
         if header["has_norm_stats"]:
             expected.update(norm_mins=(d,), norm_maxs=(d,))
+        # format 1 stores no recipe arrays: its masks are rebuilt from the seed
+        recipe = {} if version == 1 else {
+            "orderings": (n_orderings, d), "hidden_degrees": (n_orderings * n_masks, h)
+        }
         # the head-major forward reshapes w_out and b_out by this layout
-        arrays = {name: need(payload, name, "array") for name in expected}
-        for name, shape in expected.items():
-            arr = arrays[name]
+        arrays = {}
+        for name, shape in (*expected.items(), *recipe.items()):
+            arr = arrays[name] = need(payload, name, "array")
             if arr.shape != shape:
-                raise ValueError(f"model file array {name} has shape {arr.shape}, expected {shape}")
-            if not np.issubdtype(arr.dtype, np.floating):
-                raise ValueError(
-                    f"model file {path} array {name} has dtype {arr.dtype}, "
-                    "expected real floating point"
-                )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"model file {path} array {name} holds a non-finite value")
-        masks = build_masks(
-            d,
-            h,
-            header["n_orderings"],
-            header["n_masks_per_ordering"],
-            header["mask_seed"],
-        )
+                raise fail(f"array {name} has shape {arr.shape}, expected {shape}")
+            if name in recipe:
+                if arr.dtype.kind not in "iu":
+                    raise fail(f"array {name} has dtype {arr.dtype}, expected integers")
+            elif not np.issubdtype(arr.dtype, np.floating):
+                raise fail(f"array {name} has dtype {arr.dtype}, expected real floating point")
+            elif not np.isfinite(arr).all():
+                raise fail(f"array {name} holds a non-finite value")
+        if version == 1:
+            masks = build_masks(d, h, n_orderings, n_masks, header["mask_seed"])
+        else:
+            orderings, degrees = arrays["orderings"], arrays["hidden_degrees"]
+            if not (np.sort(orderings, axis=1) == np.arange(1, d + 1)).all():
+                raise fail(f"array orderings holds a row that is not a permutation of 1..{d}")
+            if not ((degrees >= 1) & (degrees <= d - 1)).all():
+                raise fail(f"array hidden_degrees holds a degree outside [1, {d - 1}]")
+            masks = _mask_set(orderings, degrees, n_masks, header["mask_seed"])
         params = MadeParams(
             w_in=arrays["w_in"],
             b_in=arrays["b_in"],

@@ -167,6 +167,26 @@ class TestScoreInputs:
         )
         assert not (out / "scores.csv").exists()
 
+    def test_malformed_model_header_fails_with_one_line(self, tmp_path, capsys):
+        model_path = tmp_path / "model.bin"
+        save_model(str(model_path), tiny_params(seed=2))
+        with np.load(model_path) as payload:
+            arrays = dict(payload)
+        header = json.loads(bytes(arrays["header_json"]).decode())
+        header["n_orderings"] = "2"
+        arrays["header_json"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        with open(model_path, "wb") as fh:
+            np.savez(fh, **arrays)
+        data = tmp_path / "rows.csv"
+        data.write_text("a,b,c,label\n0.1,0.2,0.3,0\n")
+        rc = main(["score", "--model", str(model_path), "--data", str(data),
+                   "--out", str(tmp_path / "scores")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: model file {model_path} header key 'n_orderings' is '2', "
+            "expected an integer\n"
+        )
+
 
 class TestExperiment:
     def test_file_contract_and_determinism(self, tmp_path):

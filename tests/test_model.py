@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -90,6 +91,37 @@ class TestMaskConstruction:
         masks = build_masks(6, 32, 4, 4, seed=3)
         assert masks.hidden_degrees.min() >= 1
         assert masks.hidden_degrees.max() <= 5
+
+    def test_masks_are_bool_and_small_at_paper_shape(self):
+        masks = build_masks(30, 500, 10, 10, seed=0)
+        assert masks.input_masks.dtype == masks.output_masks.dtype == np.bool_
+        assert masks.input_masks.nbytes + masks.output_masks.nbytes <= 3.1e6
+
+    def test_build_and_load_peak_memory_at_paper_shape(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        save_model(path, init_params(build_masks(30, 500, 10, 10, seed=0), seed=1))
+        # the masks are 3.0 MB and the loaded weights 1.2 MB; float64 masks were 24 MB
+        for call, bound in ((lambda: build_masks(30, 500, 10, 10, seed=0), 4e6),
+                            (lambda: load_model(path), 5.5e6)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_recipe_and_masks_are_read_only(self, tmp_path, source):
+        masks = build_masks(4, 6, 2, 2, seed=1)
+        if source == "loaded":
+            path = str(tmp_path / "model.bin")
+            save_model(path, init_params(masks, seed=2))
+            masks = load_model(path)[0].masks
+        for name in ("orderings", "hidden_degrees", "input_masks", "output_masks"):
+            arr = getattr(masks, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
 
 
 class TestForwardConditionals:
@@ -416,6 +448,49 @@ class TestContractionOrders:
                 assert all(s.tobytes() == scores[0].tobytes() for s in scores), (dtype, n_rows)
 
 
+class TestBoolMasks:
+    """Masks are applied straight from bool, with the float masks' arithmetic."""
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("masks_activations", [True, False])
+    def test_bool_masks_give_the_float_masks_results(
+        self, monkeypatch, head, dtype, masks_activations
+    ):
+        params = tiny_params(head=head, seed=54, n_attributes=8, n_hidden=32, n_components=3,
+                             n_orderings=3, n_masks=2, noise=0.5)
+        # masks of 0s and 1s in the pass dtype: the operands of a pass over float masks
+        float_params = params.copy()
+        float_params.masks = dataclasses.replace(
+            params.masks,
+            input_masks=params.masks.input_masks.astype(dtype),
+            output_masks=params.masks.output_masks.astype(dtype),
+        )
+        TestContractionOrders.force(monkeypatch, masks_activations)
+        x = TestContractionOrders.rows(head, 67, 8, dtype, 54)
+
+        def arrays(p):
+            out = [log_density_batch(p, x[:n]) for n in (1, 2, 5, 67)]
+            for lam in (0.0, 10.0):
+                value, grads = objective_and_gradient(p, LabeledBatch(x[:64], x[64:]),
+                                                      ObjectiveConfig(lam=lam))
+                out += [np.float64(value), *grads.values()]
+            cond = forward_conditionals(p, x[0], p.masks.n_members - 1)
+            return out + list(conditional_arrays(cond))
+
+        for want, got in zip(arrays(float_params), arrays(params), strict=True):
+            assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 9])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_masked_output_weights_keep_the_pass_dtype(self, p, dtype):
+        w_out = np.random.default_rng(1).normal(size=(5, p, 3)).astype(dtype)
+        masks = np.random.default_rng(2).uniform(size=(2, 5, 3)) < 0.5
+        masked = model._masked_w_out(w_out, masks)
+        assert masked.dtype == dtype
+        assert masked.tobytes() == (w_out * masks.astype(dtype)[:, :, None, :]).tobytes()
+
+
 class TestComputeDtype:
     """A pass computes in the dtype of its rows: float32 stays float32, all else is float64."""
 
@@ -544,27 +619,26 @@ class TestPersistence:
         arrays = dict(params.trainable())
         if case == "truncated_w_out":
             arrays["w_out"] = params.w_out[:, :-1]
-            match = r"^model file array w_out has shape \(5, 17\), expected \(5, 18\)$"
+            problem = "array w_out has shape (5, 17), expected (5, 18)"
         elif case == "unknown_head":
             header["head"] = "poisson"
-            match = r"^model file has unknown head 'poisson'$"
+            problem = "has unknown head 'poisson'"
         elif case == "no_components":
             header["n_components"] = 0
-            match = r"^model file mixture head has 0 components$"
+            problem = "mixture head has 0 components"
         elif case == "missing_b_out":
             del arrays["b_out"]
-            match = "has no array 'b_out'$"
+            problem = "has no array 'b_out'"
         else:
             del header["n_hidden"]
-            match = "has no header key 'n_hidden'$"
+            problem = "has no header key 'n_hidden'"
         path = tmp_path / "model.bin"
         with open(path, "wb") as fh:
             np.savez(fh, header_json=np.frombuffer(json.dumps(header).encode(), np.uint8),
                      **arrays)
-        with pytest.raises(ValueError, match=match) as exc:
+        with pytest.raises(ValueError) as exc:
             load_model(str(path))
-        if case.startswith("missing"):
-            assert str(exc.value).startswith(f"model file {path} has no ")
+        assert str(exc.value) == f"model file {path} {problem}"
 
     @pytest.mark.parametrize(
         "name, change, problem",
@@ -601,19 +675,154 @@ class TestPersistence:
             load_model(str(path))
         assert str(exc.value) == f"model file {path} is not an .npz archive"
 
+    @staticmethod
+    def saved_arrays(path, params):
+        """(header, other arrays) of `params` as save_model writes them to `path`."""
+        save_model(str(path), params)
+        with np.load(path) as payload:
+            arrays = dict(payload)
+        return json.loads(bytes(arrays.pop("header_json")).decode()), arrays
+
+    @staticmethod
+    def write(path, header, arrays):
+        with open(path, "wb") as fh:
+            np.savez(fh, header_json=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                     **arrays)
+
+    def test_stores_the_mask_recipe_as_small_integers(self, tmp_path):
+        params = tiny_params(seed=5, n_attributes=4, n_hidden=6)
+        header, arrays = self.saved_arrays(tmp_path / "model.bin", params)
+        assert header["format_version"] == model.MODEL_FORMAT_VERSION == 2
+        assert header["mask_seed"] == params.masks.seed
+        for name in ("orderings", "hidden_degrees"):
+            assert arrays[name].dtype == np.uint8
+            np.testing.assert_array_equal(arrays[name], getattr(params.masks, name))
+
+    def test_loads_the_stored_recipe_not_the_seed(self, tmp_path):
+        params = tiny_params(seed=5, n_attributes=4, n_hidden=6)
+        path = tmp_path / "model.bin"
+        header, arrays = self.saved_arrays(path, params)
+        # a recipe no seed draws: every degree 1, the orderings reversed
+        arrays["hidden_degrees"][:] = 1
+        arrays["orderings"] = arrays["orderings"][:, ::-1].copy()
+        header["mask_seed"] = 123456
+        self.write(path, header, arrays)
+        masks = load_model(str(path))[0].masks
+        np.testing.assert_array_equal(masks.hidden_degrees, 1)
+        np.testing.assert_array_equal(masks.orderings, arrays["orderings"])
+        position = np.repeat(masks.orderings, masks.n_masks_per_ordering, axis=0)
+        np.testing.assert_array_equal(
+            masks.input_masks, np.broadcast_to((position == 1)[:, :, None], (4, 4, 6)))
+        np.testing.assert_array_equal(
+            masks.output_masks, np.broadcast_to((position > 1)[:, None, :], (4, 6, 4)))
+        assert masks.seed == 123456
+
+    @pytest.mark.parametrize(
+        "case, problem",
+        [
+            ("degree_0", "array hidden_degrees holds a degree outside [1, 3]"),
+            ("degree_d", "array hidden_degrees holds a degree outside [1, 3]"),
+            ("repeated_position",
+             "array orderings holds a row that is not a permutation of 1..4"),
+            ("float_orderings", "array orderings has dtype float64, expected integers"),
+            ("missing_ordering", "array orderings has shape (1, 4), expected (2, 4)"),
+            ("missing_degrees", "has no array 'hidden_degrees'"),
+        ],
+    )
+    def test_rejects_a_recipe_that_build_masks_cannot_draw(self, tmp_path, case, problem):
+        path = tmp_path / "model.bin"
+        header, arrays = self.saved_arrays(path, tiny_params(seed=6, n_attributes=4, n_hidden=6))
+        if case == "degree_0":
+            arrays["hidden_degrees"][1, 2] = 0
+        elif case == "degree_d":
+            arrays["hidden_degrees"][0, 0] = 4
+        elif case == "repeated_position":
+            arrays["orderings"][1] = (1, 2, 2, 4)
+        elif case == "float_orderings":
+            arrays["orderings"] = arrays["orderings"].astype(np.float64)
+        elif case == "missing_ordering":
+            arrays["orderings"] = arrays["orderings"][:1]
+        else:
+            del arrays["hidden_degrees"]
+        self.write(path, header, arrays)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == f"model file {path} {problem}"
+
+    def test_format_1_file_loads_the_seeded_masks(self, tmp_path):
+        """A file of format 1, which stores only the mask seed, as earlier versions wrote it."""
+        params = init_params(build_masks(4, 5, 2, 2, seed=3), GAUSSIAN_MIXTURE, 2, seed=4)
+        path = tmp_path / "model.bin"
+        header, arrays = self.saved_arrays(path, params)
+        header["format_version"] = 1
+        del arrays["orderings"], arrays["hidden_degrees"]
+        self.write(path, header, arrays)
+        loaded, _ = load_model(str(path))
+        # the masks format 1 files have always loaded with this seed
+        np.testing.assert_array_equal(loaded.masks.orderings, [[1, 2, 3, 4], [4, 3, 2, 1]])
+        np.testing.assert_array_equal(
+            loaded.masks.hidden_degrees,
+            [[1, 3, 3, 2, 1], [1, 1, 2, 2, 2], [1, 1, 3, 3, 1], [1, 2, 2, 3, 2]],
+        )
+        assert_same_model(loaded, params)
+        x = np.random.default_rng(4).uniform(size=(5, 4))
+        assert log_density_batch(loaded, x).tobytes() == log_density_batch(params, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("n_orderings", "2", "header key 'n_orderings' is '2', expected an integer"),
+            ("mask_seed", "x", "header key 'mask_seed' is 'x', expected an integer"),
+            ("n_orderings", True, "header key 'n_orderings' is True, expected an integer"),
+            ("n_components", 2.0, "header key 'n_components' is 2.0, expected an integer"),
+            ("has_norm_stats", 0, "header key 'has_norm_stats' is 0, expected true or false"),
+            ("head", None, "header key 'head' is None, expected a string"),
+            ("n_hidden", 0, "header key 'n_hidden' is 0, expected at least 1"),
+            ("n_attributes", 1, "header key 'n_attributes' is 1, expected at least 2"),
+            ("mask_seed", -1, "header key 'mask_seed' is -1, expected at least 0"),
+            ("format_version", 3, "has unsupported model format version 3"),
+            ("format_version", "2", "has unsupported model format version '2'"),
+            ("format_version", True, "has unsupported model format version True"),
+        ],
+    )
+    def test_rejects_a_header_value_of_the_wrong_type_or_range(self, tmp_path, key, value,
+                                                               problem):
+        path = tmp_path / "model.bin"
+        header, arrays = self.saved_arrays(path, tiny_params(seed=7))
+        header[key] = value
+        self.write(path, header, arrays)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == f"model file {path} {problem}"
+
+    @pytest.mark.parametrize("header", [b"[1, 2]", b"{", b"\xff"], ids=["list", "cut", "utf8"])
+    def test_rejects_a_header_that_is_not_a_json_object(self, tmp_path, header):
+        path = tmp_path / "model.bin"
+        _, arrays = self.saved_arrays(path, tiny_params(seed=8))
+        with open(path, "wb") as fh:
+            np.savez(fh, header_json=np.frombuffer(header, np.uint8), **arrays)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == f"model file {path} has a header that is not a JSON object"
+
     def test_every_truncation_fails_with_one_line_naming_the_file(self, tmp_path):
         params = tiny_params(seed=44, n_attributes=4, n_hidden=6, n_components=2,
                              n_orderings=2, n_masks=2)
         whole = tmp_path / "model.bin"
-        save_model(str(whole), params)
-        data = whole.read_bytes()
+        # a file of the current format, and one of format 1 without the recipe arrays
+        header, arrays = self.saved_arrays(whole, params)
+        files = [whole.read_bytes()]
+        self.write(whole, {**header, "format_version": 1},
+                   {k: v for k, v in arrays.items() if k not in ("orderings", "hidden_degrees")})
+        files.append(whole.read_bytes())
         path = tmp_path / "cut.bin"
-        for size in range(len(data)):
-            path.write_bytes(data[:size])
-            with pytest.raises(ValueError) as exc:
-                load_model(str(path))
-            message = str(exc.value)
-            assert str(path) in message and "\n" not in message, (size, message)
+        for data in files:
+            for size in range(len(data)):
+                path.write_bytes(data[:size])
+                with pytest.raises(ValueError) as exc:
+                    load_model(str(path))
+                message = str(exc.value)
+                assert str(path) in message and "\n" not in message, (size, message)
 
 
 class TestTileWorkers:
