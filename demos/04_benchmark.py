@@ -1,29 +1,16 @@
 """Seeded benchmark: swept supervision vs plain likelihood vs baselines.
 
 Runs the full protocol on a benchmark-scale synthetic dataset: dedup,
-normalize, seeded splits with three labeled training anomalies, a
-regularizer-weight sweep selected on validation AUC, and test-set AUC
-against two simple reference scorers.
+normalize, then `run_seed` per seed: a seeded split with three labeled
+training anomalies, a regularizer-weight sweep selected on validation AUC,
+and test-set AUC against the unsupervised model and two simple reference
+scorers.
 """
 
 import numpy as np
 
-from anodens import (
-    GAUSSIAN_MIXTURE,
-    anomaly_score_batch,
-    auc,
-    build_masks,
-    dedup,
-    fit_gaussian,
-    fit_knn,
-    gaussian_score_batch,
-    init_params,
-    knn_score_batch,
-    normalize_minmax,
-    split,
-)
+from anodens import dedup, normalize_minmax, run_seed
 from anodens.synth import make_tabular_benchmark
-from anodens.training import TrainConfig, sweep_lambda
 
 raw = make_tabular_benchmark(seed=12345)
 ds = dedup(raw)
@@ -31,31 +18,16 @@ ds, _ = normalize_minmax(ds)
 print(f"dataset: {ds.n_instances} instances, {ds.n_attributes} attributes, "
       f"{len(ds.anomaly_indices())} anomalies")
 
-results = {"swept": [], "lambda0": [], "gaussian": [], "knn": []}
+results = {}
 chosen = []
 for seed in range(5):
-    bundle = split(ds, seed, n_train_anom=3, n_val_anom=3)
-    masks = build_masks(ds.n_attributes, 64, 2, 2, seed=1000 + seed)
-    init = init_params(masks, GAUSSIAN_MIXTURE, 3, seed=2000 + seed)
-    cfg = TrainConfig(max_epochs=40, batch_size=64, patience=10, seed=seed)
-    sweep = sweep_lambda(init, ds, bundle, cfg)
-    chosen.append(sweep.best_lambda)
-
-    train_normals = ds.attributes[bundle.train_normal]
-    test_n = ds.attributes[bundle.test_normal]
-    test_a = ds.attributes[bundle.test_anom]
-    scorers = {
-        "swept": lambda x: anomaly_score_batch(sweep.best_params, x),
-        "lambda0": lambda x: anomaly_score_batch(sweep.models[0.0], x),
-        "gaussian": lambda x, m=fit_gaussian(train_normals): gaussian_score_batch(m, x),
-        "knn": lambda x, m=fit_knn(train_normals, k=5): knn_score_batch(m, x),
-    }
-    row = {}
-    for name, scorer in scorers.items():
-        value = auc(scorer(test_a), scorer(test_n))
-        results[name].append(value)
-        row[name] = value
-    print(f"seed {seed}: chose lambda={sweep.best_lambda:<6g} "
+    result = run_seed(ds, seed, hidden=64, orderings=2, masks=2, max_epochs=40)
+    chosen.append(result.sweep.best_lambda)
+    # the swept model is the protocol's "proposed" scorer
+    row = {"swept" if name == "proposed" else name: value for name, value in result.aucs.items()}
+    for name, value in row.items():
+        results.setdefault(name, []).append(value)
+    print(f"seed {seed}: chose lambda={result.sweep.best_lambda:<6g} "
           + "  ".join(f"{k}={v:.3f}" for k, v in row.items()))
 
 print("\nmean test AUC over seeds")

@@ -11,9 +11,7 @@ from .baselines import (
     KnnBaseline,
     fit_gaussian,
     fit_knn,
-    gaussian_score,
     gaussian_score_batch,
-    knn_score,
     knn_score_batch,
 )
 from .data import (
@@ -27,7 +25,7 @@ from .data import (
     normalize_minmax,
     split,
 )
-from .metrics import ScoreReport, auc, evaluate, report_from_scores, roc_points
+from .metrics import ScoreReport, auc, report_from_scores, roc_points
 from .model import (
     BERNOULLI,
     GAUSSIAN_MIXTURE,
@@ -50,7 +48,6 @@ from .model import (
 from .objective import (
     LabeledBatch,
     ObjectiveConfig,
-    auc_regularizer,
     gradient,
     normal_loglik,
     objective_and_gradient,
@@ -60,10 +57,13 @@ from .objective import (
 from .training import (
     AdamState,
     EarlyStopper,
+    SeedResult,
     SweepResult,
     TrainConfig,
     TrainReport,
     adam_step,
+    run_seed,
+    seeded_setup,
     sweep_lambda,
     train,
 )

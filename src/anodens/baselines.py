@@ -41,10 +41,6 @@ def gaussian_score_batch(model: GaussianBaseline, x: np.ndarray) -> np.ndarray:
     return -log_dens.sum(axis=1)
 
 
-def gaussian_score(model: GaussianBaseline, x: np.ndarray) -> float:
-    return float(gaussian_score_batch(model, x)[0])
-
-
 def fit_knn(train_normals: np.ndarray, k: int = 5) -> KnnBaseline:
     x = np.atleast_2d(np.asarray(train_normals, dtype=np.float64))
     if x.shape[0] == 0:
@@ -70,6 +66,3 @@ def knn_score_batch(model: KnnBaseline, x: np.ndarray) -> np.ndarray:
         kth[rows] = np.partition(dists, model.k - 1, axis=1)[:, model.k - 1]
     return kth
 
-
-def knn_score(model: KnnBaseline, x: np.ndarray) -> float:
-    return float(knn_score_batch(model, x)[0])

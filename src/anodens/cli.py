@@ -3,14 +3,14 @@
 Each option is declared once, with its type and default, on the argparse parser.
 A key=value config file (--config) spells flags in full without `--` and is
 parsed ahead of the command line, so flags override it.  All randomness flows
-from the seed options: split=seed, masks=1000+seed, weights=2000+seed,
-shuffles=seed.
+from the seed options through `training.seeded_setup`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from itertools import zip_longest
 from pathlib import Path
 
@@ -18,21 +18,17 @@ import numpy as np
 
 from . import data as datamod
 from . import metrics, synth
-from .baselines import fit_gaussian, fit_knn, gaussian_score_batch, knn_score_batch
-from .model import (
-    BERNOULLI,
-    anomaly_score_batch,
-    build_masks,
-    choose_head,
-    init_params,
-    load_model,
-    save_model,
-)
-from .training import DEFAULT_LAMBDA_GRID, TrainConfig, sweep_lambda, train
+from .model import BERNOULLI, anomaly_score_batch, load_model, save_model
+from .training import DEFAULT_LAMBDA_GRID, run_seed, seeded_setup, sweep_lambda, train
 
 
 # the --label value that scores rows without a label column
 NO_LABEL = "none"
+
+SEED_OPTIONS = (
+    "hidden", "components", "masks", "orderings", "train_anoms", "val_anoms",
+    "learning_rate", "max_epochs", "batch_size", "patience", "lambda_grid",
+)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -97,30 +93,17 @@ def _prepare_dataset(args):
     return datamod.normalize_minmax(ds)
 
 
-def _seeded_run(ds, args, seed: int):
-    """The split, fresh model and training config of one seed."""
-    bundle = datamod.split(ds, seed, args.train_anoms, args.val_anoms)
-    masks = build_masks(ds.n_attributes, args.hidden, args.orderings, args.masks, 1000 + seed)
-    head = choose_head(ds.attribute_kinds)
-    init = init_params(masks, head=head, n_components=args.components, seed=2000 + seed)
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        max_epochs=args.epochs,
-        batch_size=args.batch_size,
-        patience=args.patience,
-        seed=seed,
-        lambda_grid=args.lambda_grid,
-    )
-    return bundle, init, cfg
+def _seed_options(args) -> dict:
+    """The fit flags, whose destinations are `training.seeded_setup`'s options."""
+    return {name: getattr(args, name) for name in SEED_OPTIONS}
 
 
 def cmd_train(args) -> int:
     out = _output_dir(args, "data")
     ds, stats = _prepare_dataset(args)
-    bundle, init, cfg = _seeded_run(ds, args, args.seed)
+    bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
     params, report = train(init, ds, bundle, cfg, args.lam)
     save_model(str(out / "model.bin"), params, stats)
-    stats.save(str(out / "normstats.txt"))
     report.write_csv(str(out / "train_report.csv"))
     print(
         f"trained lambda={_fmt(args.lam)} best_epoch={report.best_epoch} "
@@ -132,10 +115,9 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     out = _output_dir(args, "data")
     ds, stats = _prepare_dataset(args)
-    bundle, init, cfg = _seeded_run(ds, args, args.seed)
+    bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
     result = sweep_lambda(init, ds, bundle, cfg)
     save_model(str(out / "model.bin"), result.best_params, stats)
-    stats.save(str(out / "normstats.txt"))
     with open(out / "sweep_report.csv", "w", encoding="utf-8") as fh:
         fh.write("lambda,best_epoch,best_val_auc,chosen\n")
         for lam in sorted(result.reports):
@@ -192,65 +174,36 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _experiment_one_seed(ds, args, seed: int):
-    bundle, init, cfg = _seeded_run(ds, args, seed)
-    result = sweep_lambda(init, ds, bundle, cfg)
-    if 0.0 in result.models:
-        lambda0_params = result.models[0.0]
-    else:
-        lambda0_params, _ = train(init, ds, bundle, cfg, 0.0)
-
-    train_normals = ds.attributes[bundle.train_normal]
-    gauss = fit_gaussian(train_normals)
-    knn = fit_knn(train_normals, k=min(args.knn_k, len(train_normals)))
-    test_idx = np.concatenate([bundle.test_normal, bundle.test_anom])
-    test_labels = ds.labels[test_idx]
-    test_x = ds.attributes[test_idx]
-
-    def _report(scores):
-        return metrics.report_from_scores(test_idx, test_labels, scores)
-
-    proposed = _report(anomaly_score_batch(result.best_params, test_x))
-    lambda0 = _report(anomaly_score_batch(lambda0_params, test_x))
-    gaussian_rep = _report(gaussian_score_batch(gauss, test_x))
-    knn_rep = _report(knn_score_batch(knn, test_x))
-    aucs = {
-        "proposed": proposed.auc,
-        "lambda0": lambda0.auc,
-        "gaussian": gaussian_rep.auc,
-        "knn": knn_rep.auc,
-    }
-    return bundle, result, proposed, aucs
-
-
 def cmd_experiment(args) -> int:
     out = _output_dir(args, "data")
     ds, _ = _prepare_dataset(args)
     per_method: dict[str, list[float]] = {}
     for seed in args.seeds:
-        bundle, result, proposed, aucs = _experiment_one_seed(ds, args, seed)
+        result = run_seed(ds, seed, knn_k=args.knn_k, **_seed_options(args))
+        aucs = result.aucs
         for method, value in aucs.items():
             per_method.setdefault(method, []).append(value)
+        proposed = result.reports["proposed"]
         proposed.write_csv(str(out / f"scores_{seed}.csv"))
         payload = proposed.to_json_dict(
             seed=seed,
-            chosen_lambda=result.best_lambda,
+            chosen_lambda=result.sweep.best_lambda,
             auc_per_method=aucs,
             lambda_val_auc={
-                _fmt(lam): rep.best_val_auc for lam, rep in sorted(result.reports.items())
+                _fmt(lam): rep.best_val_auc for lam, rep in sorted(result.sweep.reports.items())
             },
-            n_test_normals=len(bundle.test_normal),
-            n_test_anomalies=len(bundle.test_anom),
+            n_test_normals=len(result.bundle.test_normal),
+            n_test_anomalies=len(result.bundle.test_anom),
         )
         metrics.write_json_summary(str(out / f"report_{seed}.json"), payload)
         print(
-            f"seed={seed} lambda={_fmt(result.best_lambda)} "
+            f"seed={seed} lambda={_fmt(result.sweep.best_lambda)} "
             + " ".join(f"{m}={_fmt(v)}" for m, v in aucs.items())
         )
     with open(out / "aggregate.csv", "w", encoding="utf-8") as fh:
         fh.write("method,mean_auc,stderr,n_seeds\n")
-        for method in ("proposed", "lambda0", "gaussian", "knn"):
-            values = np.array(per_method[method])
+        for method, values in per_method.items():
+            values = np.array(values)
             stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
             fh.write(f"{method},{_fmt(values.mean())},{_fmt(stderr)},{len(values)}\n")
     print(f"wrote {out / 'aggregate.csv'}")
@@ -266,7 +219,7 @@ def cmd_synth(args) -> int:
             fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
     ds = datamod.dedup(raw)
     ds, stats = datamod.normalize_minmax(ds)
-    bundle, init, cfg = _seeded_run(ds, args, args.seed)
+    bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
     unsup_params, _ = train(init, ds, bundle, cfg, 0.0)
     sup_params, _ = train(init, ds, bundle, cfg, 1000.0)
     grid = synth.profile_grid()
@@ -291,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--out", help="output directory")
 
     fit = argparse.ArgumentParser(add_help=False)
-    fit.add_argument("--epochs", type=int, default=100)
-    fit.add_argument("--lr", type=float, default=1e-3)
+    fit.add_argument("--epochs", dest="max_epochs", type=int, default=100, metavar="EPOCHS")
+    fit.add_argument("--lr", dest="learning_rate", type=float, default=1e-3, metavar="LR")
     fit.add_argument("--batch-size", type=int, default=64)
     fit.add_argument("--patience", type=int, default=10)
     fit.add_argument("--hidden", type=int, default=500)
@@ -366,7 +319,10 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, argv, args.command, args.config)
-        return args.func(args)
+        # a diverging run fails with one line naming it, not after numpy's overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except Exception as exc:  # single-line, machine-parsable failure surface
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -95,26 +95,6 @@ class NormStats:
             out = np.clip(out, 0.0, 1.0)
         return out
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for name, lo, hi in zip(self.attribute_names, self.mins, self.maxs):
-                fh.write(f"{name}={float(lo)!r},{float(hi)!r}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "NormStats":
-        names, mins, maxs = [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                name, _, rest = line.partition("=")
-                lo, _, hi = rest.partition(",")
-                names.append(name)
-                mins.append(float(lo))
-                maxs.append(float(hi))
-        return cls(tuple(names), np.array(mins), np.array(maxs))
-
 
 @dataclass
 class SplitBundle:
@@ -127,24 +107,6 @@ class SplitBundle:
     val_anom: np.ndarray
     test_anom: np.ndarray
     seed: int
-
-    def parts(self) -> tuple[np.ndarray, ...]:
-        return (
-            self.train_normal,
-            self.val_normal,
-            self.test_normal,
-            self.train_anom,
-            self.val_anom,
-            self.test_anom,
-        )
-
-    def check_partition(self, n_instances: int) -> None:
-        """Raise if the six sets are not a disjoint cover of range(n_instances)."""
-        combined = np.concatenate(self.parts())
-        if len(combined) != n_instances or len(np.unique(combined)) != n_instances:
-            raise ValueError("split does not partition the dataset")
-        if combined.min() < 0 or combined.max() >= n_instances:
-            raise ValueError("split contains out-of-range indices")
 
 
 def _resolve_label_column(header: list[str], label_column) -> int:

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MadeParams, anomaly_score_batch
-
 
 def _counts_at_or_above(anomaly_scores: np.ndarray, normal_scores: np.ndarray):
     """(distinct scores descending, int64 counts of anomalies and of normals scoring >= each).
@@ -106,18 +104,6 @@ def report_from_scores(indices, labels, scores) -> ScoreReport:
         n_anomalies=int(anom.size),
         n_normals=int(norm.size),
     )
-
-
-def evaluate(params: MadeParams, ds, normal_indices, anomaly_indices) -> ScoreReport:
-    """Score the given test rows with the model and compute their AUC."""
-    normal_indices = np.asarray(normal_indices, dtype=np.int64)
-    anomaly_indices = np.asarray(anomaly_indices, dtype=np.int64)
-    if normal_indices.size == 0 or anomaly_indices.size == 0:
-        raise ValueError("evaluation needs at least one normal and one anomaly")
-    indices = np.concatenate([normal_indices, anomaly_indices])
-    labels = ds.labels[indices]
-    scores = anomaly_score_batch(params, ds.attributes[indices])
-    return report_from_scores(indices, labels, scores)
 
 
 def write_json_summary(path: str, payload: dict) -> None:

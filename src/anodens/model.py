@@ -761,9 +761,10 @@ def load_model(path: str):
     format 1 from its mask seed.  Every check fails with a one-line
     ValueError naming the file: a file that is not an .npz archive, a
     missing array or header key, a header value of the wrong type or below
-    its least value, an array of the wrong shape, a weight that is not real
-    floating point or not finite, an ordering that is not a permutation of
-    1..D, and a hidden degree outside [1, D-1].
+    its least value, an array of the wrong shape, a weight or stat that is
+    not real floating point or not finite, an ordering that is not a
+    permutation of 1..D, a hidden degree outside [1, D-1], attribute names
+    that are not a JSON list of D strings, and a min above its max.
     """
     from .data import NormStats
 
@@ -847,6 +848,16 @@ def load_model(path: str):
         )
         stats = None
         if header["has_norm_stats"]:
-            names = tuple(json.loads(bytes(need(payload, "norm_names", "array")).decode()))
-            stats = NormStats(names, arrays["norm_mins"], arrays["norm_maxs"])
+            names_bytes = bytes(need(payload, "norm_names", "array"))
+            try:
+                names = json.loads(names_bytes.decode())
+            except ValueError:  # not UTF-8, or not JSON
+                names = None
+            if not (isinstance(names, list) and len(names) == d
+                    and all(isinstance(name, str) for name in names)):
+                raise fail(f"array norm_names is not a JSON list of {d} strings")
+            above = np.flatnonzero(arrays["norm_mins"] > arrays["norm_maxs"])
+            if above.size:
+                raise fail(f"array norm_mins exceeds norm_maxs at attribute {above[0]}")
+            stats = NormStats(tuple(names), arrays["norm_mins"], arrays["norm_maxs"])
     return params, stats

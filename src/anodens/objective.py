@@ -16,7 +16,6 @@ from .model import (
     as_compute_array,
     backprop_log_density,
     forward_ensemble,
-    log_density_batch,
     sigmoid,
 )
 
@@ -72,13 +71,6 @@ def pairwise_regularizer(
         raise ValueError("need at least one normal and one anomaly log-density")
     gaps = ld_n[None, :] - ld_a[:, None]
     return float(np.mean(transfer(gaps)))
-
-
-def auc_regularizer(params: MadeParams, anomalies: np.ndarray, normals: np.ndarray) -> float:
-    """Model-level ranking regularizer over labeled anomaly/normal instances."""
-    return pairwise_regularizer(
-        log_density_batch(params, normals), log_density_batch(params, anomalies)
-    )
 
 
 def _objective_with_optional_gradient(params, batch, cfg, want_gradient):

@@ -1,4 +1,5 @@
-"""ADAM ascent on the supervised objective with validation-AUC early stopping."""
+"""ADAM ascent on the supervised objective with validation-AUC early stopping,
+and the experiment protocol that runs it for one seed."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SplitBundle
-from .metrics import auc
-from .model import MadeParams, anomaly_score_batch
+from .baselines import fit_gaussian, fit_knn, gaussian_score_batch, knn_score_batch
+from .data import Dataset, SplitBundle, split
+from .metrics import ScoreReport, auc, report_from_scores
+from .model import MadeParams, anomaly_score_batch, build_masks, choose_head, init_params
 from .objective import LabeledBatch, ObjectiveConfig, objective_and_gradient
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0)
@@ -156,6 +158,20 @@ def _float32_rows(rows: np.ndarray) -> np.ndarray:
             ) from None
 
 
+def _check_finite(lam, epoch, objective, val_scores, learning_rate) -> None:
+    """Fail with one line when an epoch's objective or validation scores are not finite."""
+    if not np.isfinite(objective):
+        value = "training objective"
+    elif not all(np.isfinite(scores).all() for scores in val_scores):
+        value = "validation scores"
+    else:
+        return
+    raise ValueError(
+        f"lambda={lam:g} diverged at epoch {epoch}: non-finite {value}; "
+        f"try a lower --lr than {learning_rate:g}"
+    )
+
+
 def train(
     init: MadeParams,
     ds: Dataset,
@@ -198,11 +214,14 @@ def train(
             value, grads = objective_and_gradient(params, batch, obj_cfg)
             adam_step(params.trainable(), grads, state, cfg)
             epoch_values.append(value)
-        val_auc = auc(
+        objective = float(np.mean(epoch_values))
+        val_scores = (
             anomaly_score_batch(params, val_anoms),
             anomaly_score_batch(params, val_normals),
         )
-        records.append(EpochRecord(epoch, float(np.mean(epoch_values)), val_auc))
+        _check_finite(lam, epoch, objective, val_scores, cfg.learning_rate)
+        val_auc = auc(*val_scores)
+        records.append(EpochRecord(epoch, objective, val_auc))
         if stopper.update(epoch, val_auc):
             best_params = params.copy()
         if stopper.should_stop:
@@ -255,3 +274,75 @@ def sweep_lambda(
         reports=reports,
         models=models,
     )
+
+
+def seeded_setup(
+    ds: Dataset,
+    seed: int,
+    *,
+    hidden: int = 500,
+    components: int = 3,
+    orderings: int = 10,
+    masks: int = 10,
+    train_anoms: int = 3,
+    val_anoms: int = 3,
+    **train_options,
+) -> tuple[SplitBundle, MadeParams, TrainConfig]:
+    """The split, fresh model and training config of one seed.
+
+    All randomness flows from `seed`: the split uses seed, the masks
+    1000+seed, the initial weights 2000+seed and the epoch shuffles seed.
+    `train_options` are the other TrainConfig fields.
+    """
+    bundle = split(ds, seed, train_anoms, val_anoms)
+    mask_set = build_masks(ds.n_attributes, hidden, orderings, masks, 1000 + seed)
+    head = choose_head(ds.attribute_kinds)
+    init = init_params(mask_set, head=head, n_components=components, seed=2000 + seed)
+    return bundle, init, TrainConfig(seed=seed, **train_options)
+
+
+@dataclass
+class SeedResult:
+    """One seed's split, sweep and lambda=0 model, and a report of its test
+    rows (normals first) per scorer: proposed, lambda0, gaussian and knn."""
+
+    bundle: SplitBundle
+    sweep: SweepResult
+    lambda0_params: MadeParams
+    reports: dict[str, ScoreReport]
+
+    @property
+    def aucs(self) -> dict[str, float]:
+        return {name: report.auc for name, report in self.reports.items()}
+
+
+def run_seed(ds: Dataset, seed: int, *, knn_k: int = 5, **options) -> SeedResult:
+    """One seed of the experiment protocol, with `seeded_setup`'s options.
+
+    Sweeps the lambda grid on the seed's split, then scores its test rows
+    with the chosen model, the lambda=0 model (the sweep's, or trained when
+    0 is not in the grid) and the Gaussian and kNN baselines fit on the
+    training normals.
+    """
+    bundle, init, cfg = seeded_setup(ds, seed, **options)
+    sweep = sweep_lambda(init, ds, bundle, cfg)
+    if 0.0 in sweep.models:
+        lambda0_params = sweep.models[0.0]
+    else:
+        lambda0_params, _ = train(init, ds, bundle, cfg, 0.0)
+    train_normals = ds.attributes[bundle.train_normal]
+    gaussian = fit_gaussian(train_normals)
+    knn = fit_knn(train_normals, k=min(knn_k, len(train_normals)))
+    test_idx = np.concatenate([bundle.test_normal, bundle.test_anom])
+    test_x = ds.attributes[test_idx]
+    scores = {
+        "proposed": anomaly_score_batch(sweep.best_params, test_x),
+        "lambda0": anomaly_score_batch(lambda0_params, test_x),
+        "gaussian": gaussian_score_batch(gaussian, test_x),
+        "knn": knn_score_batch(knn, test_x),
+    }
+    reports = {
+        name: report_from_scores(test_idx, ds.labels[test_idx], values)
+        for name, values in scores.items()
+    }
+    return SeedResult(bundle, sweep, lambda0_params, reports)

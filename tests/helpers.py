@@ -162,3 +162,15 @@ def assert_same_model(got, want):
         assert other.dtype == arr.dtype and other.tobytes() == arr.tobytes(), name
     for name in ("orderings", "hidden_degrees", "input_masks", "output_masks"):
         assert np.array_equal(getattr(got.masks, name), getattr(want.masks, name)), name
+
+
+def split_parts(bundle):
+    """The six index sets of a split."""
+    return (bundle.train_normal, bundle.val_normal, bundle.test_normal,
+            bundle.train_anom, bundle.val_anom, bundle.test_anom)
+
+
+def assert_partition(bundle, n_instances):
+    """The six index sets of a split are a disjoint cover of range(n_instances)."""
+    combined = np.concatenate(split_parts(bundle))
+    np.testing.assert_array_equal(np.sort(combined), np.arange(n_instances))

@@ -4,9 +4,7 @@ import pytest
 from anodens.baselines import (
     fit_gaussian,
     fit_knn,
-    gaussian_score,
     gaussian_score_batch,
-    knn_score,
     knn_score_batch,
 )
 from anodens.model import (
@@ -23,25 +21,25 @@ class TestGaussianBaseline:
     def test_fitted_mean_is_global_minimum(self):
         rng = np.random.default_rng(0)
         model = fit_gaussian(rng.normal(size=(50, 3)))
-        at_mean = gaussian_score(model, model.means)
+        at_mean = gaussian_score_batch(model, model.means)[0]
         for _ in range(20):
-            assert gaussian_score(model, model.means + rng.normal(scale=0.5, size=3)) > at_mean
+            x = model.means + rng.normal(scale=0.5, size=3)
+            assert gaussian_score_batch(model, x)[0] > at_mean
 
     def test_standard_normal_closed_form(self):
         model = fit_gaussian(np.zeros((10, 1)))
         model.means[:] = 0.0
         model.variances[:] = 1.0
-        assert gaussian_score(model, np.array([0.0])) == pytest.approx(
-            0.5 * np.log(2.0 * np.pi), abs=1e-12
-        )
-        assert gaussian_score(model, np.array([0.0])) == pytest.approx(0.9189385, abs=1e-6)
+        at_zero = gaussian_score_batch(model, np.array([0.0]))[0]
+        assert at_zero == pytest.approx(0.5 * np.log(2.0 * np.pi), abs=1e-12)
+        assert at_zero == pytest.approx(0.9189385, abs=1e-6)
 
     def test_symmetric_around_mean(self):
         rng = np.random.default_rng(1)
         model = fit_gaussian(rng.normal(loc=2.0, size=(40, 4)))
         delta = rng.normal(size=4)
-        left = gaussian_score(model, model.means - delta)
-        right = gaussian_score(model, model.means + delta)
+        left = gaussian_score_batch(model, model.means - delta)[0]
+        right = gaussian_score_batch(model, model.means + delta)[0]
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_variance_floor(self):
@@ -79,12 +77,12 @@ class TestKnnBaseline:
         rng = np.random.default_rng(4)
         train = rng.normal(size=(20, 3))
         model = fit_knn(train, k=1)
-        assert knn_score(model, train[7]) == 0.0
+        assert knn_score_batch(model, train[7])[0] == 0.0
 
     def test_k_equals_count_gives_farthest(self):
         train = np.array([[0.0], [1.0], [3.0]])
         model = fit_knn(train, k=3)
-        assert knn_score(model, np.array([0.0])) == 3.0
+        assert knn_score_batch(model, np.array([0.0]))[0] == 3.0
 
     def test_matches_brute_force_sort(self):
         rng = np.random.default_rng(5)
@@ -105,7 +103,7 @@ class TestKnnBaseline:
         x = rng.normal(size=(ROW_TILE + 1, 3))
         x[[0, ROW_TILE]] = train[[3, 9]]
         got = knn_score_batch(model, x)
-        np.testing.assert_array_equal(got, [knn_score(model, row) for row in x])
+        np.testing.assert_array_equal(got, [knn_score_batch(model, row)[0] for row in x])
         assert got[0] == 0.0 and got[ROW_TILE] == 0.0
 
     def test_k_out_of_range(self):

@@ -34,7 +34,6 @@ class TestTrainScore:
                    "--lambda", "1", *FAST])
         assert rc == 0
         assert (out / "model.bin").exists()
-        assert (out / "normstats.txt").exists()
         assert (out / "train_report.csv").exists()
 
         score_out = tmp_path / "scores"
@@ -188,6 +187,9 @@ class TestScoreInputs:
         )
 
 
+METHODS = ["proposed", "lambda0", "gaussian", "knn"]
+
+
 class TestExperiment:
     def test_file_contract_and_determinism(self, tmp_path):
         data = write_benchmark_csv(tmp_path / "d.csv")
@@ -206,8 +208,36 @@ class TestExperiment:
         assert (outs[0] / "aggregate.csv").read_bytes() == (outs[1] / "aggregate.csv").read_bytes()
         agg = (outs[0] / "aggregate.csv").read_text().splitlines()
         assert agg[0] == "method,mean_auc,stderr,n_seeds"
-        methods = [line.split(",")[0] for line in agg[1:]]
-        assert methods == ["proposed", "lambda0", "gaussian", "knn"]
+        assert [line.split(",")[0] for line in agg[1:]] == METHODS
+
+    def test_grid_without_zero_still_reports_lambda0(self, tmp_path):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        reports = {}
+        for grid in ("10", "0,10"):
+            out = tmp_path / grid
+            rc = main(["experiment", "--data", data, "--out", str(out), "--seeds", "0",
+                       "--lambda-grid", grid, *FAST])
+            assert rc == 0
+            reports[grid] = json.loads((out / "report_0.json").read_text())
+            agg = (out / "aggregate.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in agg[1:]] == METHODS
+        assert reports["10"]["chosen_lambda"] == 10.0
+        assert list(reports["10"]["lambda_val_auc"]) == ["10"]
+        # the lambda=0 model trained apart is the one the sweep over 0,10 trains
+        lambda0 = [r["auc_per_method"]["lambda0"] for r in reports.values()]
+        assert lambda0[0] == lambda0[1]
+
+    def test_diverging_optimiser_fails_with_single_line(self, tmp_path, capsys):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        out = tmp_path / "o"
+        rc = main(["experiment", "--data", data, "--out", str(out), "--seeds", "0",
+                   "--lambda-grid", "0,1000", *FAST, "--lr", "1e12"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: lambda=0 diverged at epoch 1: non-finite validation scores; "
+            "try a lower --lr than 1e+12\n"
+        )
+        assert not (out / "aggregate.csv").exists()
 
     def test_insufficient_anomalies_fails_with_single_line(self, tmp_path, capsys):
         data = write_benchmark_csv(tmp_path / "d.csv", n_normal=60, n_anomaly=5)

@@ -18,6 +18,9 @@ from anodens.data import (
     read_csv,
     split,
 )
+from anodens.model import load_model, save_model
+
+from helpers import assert_partition, split_parts, tiny_params
 
 
 def write_csv(path, header, rows):
@@ -204,10 +207,12 @@ class TestNormalize:
                 assert (out[:, j] == 0.0).all()
 
     def test_stats_roundtrip(self, tmp_path, toy_dataset):
+        # the model file stores the stats; names may hold "=", "," or a newline
         _, stats = normalize_minmax(toy_dataset)
-        path = tmp_path / "norm.txt"
-        stats.save(str(path))
-        loaded = NormStats.load(str(path))
+        stats = NormStats(("a=1", "b,c", "d\n"), stats.mins, stats.maxs)
+        path = str(tmp_path / "model.bin")
+        save_model(path, tiny_params(n_attributes=toy_dataset.n_attributes), stats)
+        _, loaded = load_model(path)
         assert loaded.attribute_names == stats.attribute_names
         np.testing.assert_array_equal(loaded.mins, stats.mins)
         np.testing.assert_array_equal(loaded.maxs, stats.maxs)
@@ -272,7 +277,7 @@ class TestSplit:
         with pytest.raises(ValueError, match=f"{name} must be non-negative, got -1"):
             split(ds, 0, *counts)
         # a zero count is allowed and still yields disjoint sets
-        split(ds, 0, *(max(c, 0) for c in counts)).check_partition(56)
+        assert_partition(split(ds, 0, *(max(c, 0) for c in counts)), 56)
 
     def test_insufficient_normals(self):
         ds = self.make(5, 10)
@@ -283,13 +288,13 @@ class TestSplit:
         ds = self.make(40, 10)
         a = split(ds, seed=11)
         b = split(ds, seed=11)
-        for left, right in zip(a.parts(), b.parts()):
+        for left, right in zip(split_parts(a), split_parts(b)):
             np.testing.assert_array_equal(left, right)
 
     def test_disjoint_cover_over_many_seeds(self):
         ds = self.make(40, 10)  # 50-instance toy dataset
         for seed in range(1000):
             bundle = split(ds, seed=seed)
-            bundle.check_partition(50)
+            assert_partition(bundle, 50)
             # anomaly indices stay anomalous, normals stay normal
             assert set(np.concatenate([bundle.train_anom, bundle.val_anom, bundle.test_anom])) <= set(range(40, 50))

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anodens.metrics import auc, evaluate, report_from_scores, roc_points
+from anodens.metrics import auc, report_from_scores, roc_points
 from anodens.data import CONTINUOUS, Dataset
-from anodens.model import BERNOULLI, build_masks, init_params
+from anodens.model import BERNOULLI, anomaly_score_batch, build_masks, init_params
 
 from helpers import auc_double_loop, roc_points_loop, tiny_params
 
@@ -81,21 +81,24 @@ class TestReports:
         params = init_params(masks, BERNOULLI, seed=0)
         for arr in params.trainable().values():
             arr[...] = 0.0
-        report = evaluate(params, binary, binary.normal_indices(), binary.anomaly_indices())
+        scores = anomaly_score_batch(params, binary.attributes)
+        report = report_from_scores(np.arange(30), binary.labels, scores)
+        assert (scores == scores[0]).all()
         assert report.auc == 0.5
 
     def test_evaluate_with_real_model(self):
         ds = self.make_ds()
         params = tiny_params(seed=2, noise=0.4)
-        report = evaluate(params, ds, ds.normal_indices(), ds.anomaly_indices())
+        scores = anomaly_score_batch(params, ds.attributes)
+        report = report_from_scores(np.arange(30), ds.labels, scores)
         assert 0.0 <= report.auc <= 1.0
         assert len(report.scores) == 30
 
-    def test_evaluate_needs_both_classes(self):
-        ds = self.make_ds()
-        params = tiny_params(seed=2)
-        with pytest.raises(ValueError):
-            evaluate(params, ds, ds.normal_indices(), np.array([], dtype=int))
+    def test_report_without_both_classes_has_no_auc(self):
+        normals = report_from_scores(np.arange(4), np.zeros(4, int), np.arange(4.0))
+        assert (normals.auc, normals.n_anomalies, normals.n_normals) == (None, 0, 4)
+        unlabeled = report_from_scores(np.arange(4), None, np.arange(4.0))
+        assert (unlabeled.auc, unlabeled.n_anomalies, unlabeled.n_normals) == (None, None, None)
 
     def test_csv_output(self, tmp_path):
         report = report_from_scores(

@@ -666,6 +666,32 @@ class TestPersistence:
         assert str(exc.value).startswith(f"model file {path} array {name} {problem}")
 
     @pytest.mark.parametrize(
+        "name, value, problem",
+        [
+            ("norm_mins", np.array([0.0, 3.0, 0.0]),
+             "array norm_mins exceeds norm_maxs at attribute 1"),
+            ("norm_names", b"[a,", "array norm_names is not a JSON list of 3 strings"),
+            ("norm_names", b'["a"]', "array norm_names is not a JSON list of 3 strings"),
+            ("norm_names", b"[1, 2, 3]", "array norm_names is not a JSON list of 3 strings"),
+        ],
+        ids=["min_above_max", "names_not_json", "one_name", "integer_names"],
+    )
+    def test_rejects_norm_stats_that_do_not_fit(self, tmp_path, name, value, problem):
+        from anodens.data import NormStats
+
+        path = tmp_path / "model.bin"
+        stats = NormStats(("a", "b", "c"), np.zeros(3), np.ones(3))
+        save_model(str(path), tiny_params(seed=4), stats)
+        with np.load(path) as payload:
+            arrays = dict(payload)
+        arrays[name] = np.frombuffer(value, np.uint8) if isinstance(value, bytes) else value
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == f"model file {path} {problem}"
+
+    @pytest.mark.parametrize(
         "content", [b"", b"w_in=1\n", b"PK\x03\x04truncated"], ids=["empty", "text", "bad_zip"]
     )
     def test_rejects_file_that_is_not_an_npz_archive(self, tmp_path, content):

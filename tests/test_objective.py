@@ -15,7 +15,6 @@ from anodens.model import (
 from anodens.objective import (
     LabeledBatch,
     ObjectiveConfig,
-    auc_regularizer,
     gradient,
     normal_loglik,
     objective_and_gradient,
@@ -133,20 +132,11 @@ class TestPairwiseRegularizer:
         reg = pairwise_regularizer(-t * scores_n, -t * scores_a)
         assert abs(reg - target) <= 1e-3
 
-    def test_model_level_regularizer(self):
-        params = tiny_params(seed=7, noise=0.5)
-        rng = np.random.default_rng(7)
-        anoms = rng.uniform(size=(3, 3))
-        normals = rng.uniform(size=(4, 3))
-        ld_a = np.array([log_density(params, x) for x in anoms])
-        ld_n = np.array([log_density(params, x) for x in normals])
-        expected = pairwise_regularizer(ld_n, ld_a)
-        assert auc_regularizer(params, anoms, normals) == pytest.approx(expected, abs=1e-12)
-
     def test_empty_lists_rejected(self):
-        params = tiny_params(seed=0)
         with pytest.raises(ValueError):
-            auc_regularizer(params, np.empty((0, 3)), np.zeros((2, 3)))
+            pairwise_regularizer(np.zeros(2), np.empty(0))
+        with pytest.raises(ValueError):
+            pairwise_regularizer(np.empty(0), np.zeros(2))
 
 
 class TestObjectiveValue:

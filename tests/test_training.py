@@ -19,6 +19,8 @@ from anodens.training import (
     TrainConfig,
     TrainReport,
     adam_step,
+    run_seed,
+    seeded_setup,
     sweep_lambda,
     train,
 )
@@ -211,6 +213,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="beyond float32 range"):
             train(fresh_init(ds), huge, bundle, quick_cfg(), 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_optimiser_fails_with_one_line(self, scenario_data):
+        ds, bundle = scenario_data
+        with pytest.raises(ValueError) as exc:
+            train(fresh_init(ds), ds, bundle, quick_cfg(learning_rate=1e12), 1000.0)
+        assert str(exc.value).startswith("lambda=1000 diverged at epoch ")
+        assert str(exc.value).endswith("; try a lower --lr than 1e+12")
+        # huge but finite values are left to the validation AUC
+        train(fresh_init(ds), ds, bundle, quick_cfg(learning_rate=1e6, max_epochs=2), 1000.0)
+
     def test_report_csv(self, tmp_path, scenario_data):
         ds, bundle = scenario_data
         _, report = train(fresh_init(ds), ds, bundle, quick_cfg(max_epochs=3), 0.0)
@@ -261,3 +273,40 @@ class TestSweep:
         assert set(result.reports) == {0.0, 1.0}
         assert set(result.models) == {0.0, 1.0}
         assert result.best_lambda in result.models
+
+
+SEED_OPTIONS = dict(hidden=16, orderings=2, masks=2, max_epochs=3, batch_size=32)
+
+
+class TestRunSeed:
+    def test_seeded_setup_derives_every_seed(self, scenario_data):
+        ds, _ = scenario_data
+        bundle, init, cfg = seeded_setup(ds, 7, **SEED_OPTIONS)
+        np.testing.assert_array_equal(bundle.train_normal, split(ds, 7).train_normal)
+        assert init.masks.seed == 1000 + 7
+        expected = init_params(build_masks(ds.n_attributes, 16, 2, 2, 1007), GAUSSIAN_MIXTURE,
+                               3, seed=2007)
+        assert_same_model(init, expected)
+        assert cfg == TrainConfig(max_epochs=3, batch_size=32, seed=7)
+
+    def test_grid_with_zero_reuses_the_sweeps_lambda0_model(self, scenario_data):
+        ds, _ = scenario_data
+        result = run_seed(ds, 0, lambda_grid=(0.0, 10.0), **SEED_OPTIONS)
+        assert result.lambda0_params is result.sweep.models[0.0]
+        test_idx = np.concatenate([result.bundle.test_normal, result.bundle.test_anom])
+        scores = anomaly_score_batch(result.sweep.best_params, ds.attributes[test_idx])
+        np.testing.assert_array_equal(result.reports["proposed"].indices, test_idx)
+        np.testing.assert_array_equal(result.reports["proposed"].scores, scores)
+        assert list(result.aucs) == ["proposed", "lambda0", "gaussian", "knn"]
+
+    def test_grid_without_zero_trains_the_lambda0_model(self, scenario_data):
+        ds, _ = scenario_data
+        result = run_seed(ds, 0, lambda_grid=(10.0,), **SEED_OPTIONS)
+        assert set(result.sweep.models) == {10.0}
+        bundle, init, cfg = seeded_setup(ds, 0, lambda_grid=(10.0,), **SEED_OPTIONS)
+        direct, _ = train(init, ds, bundle, cfg, 0.0)
+        assert_same_model(result.lambda0_params, direct)
+        test_x = ds.attributes[result.reports["lambda0"].indices]
+        np.testing.assert_array_equal(
+            result.reports["lambda0"].scores, anomaly_score_batch(direct, test_x)
+        )
