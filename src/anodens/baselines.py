@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOG_2PI, ROW_TILE
+from .model import LOG_2PI, ROW_TILE, tile_slices
 
 VARIANCE_FLOOR = 1e-6
 
@@ -59,8 +59,7 @@ def knn_score_batch(model: KnnBaseline, x: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     kth = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], ROW_TILE):
-        rows = slice(start, start + ROW_TILE)
+    for rows in tile_slices(x.shape[0], ROW_TILE):
         diffs = x[rows, None, :] - model.train[None, :, :]
         dists = np.sqrt((diffs * diffs).sum(axis=2))
         kth[rows] = np.partition(dists, model.k - 1, axis=1)[:, model.k - 1]

@@ -1,9 +1,10 @@
 """Command-line pipeline: data prep, training, lambda sweeps, scoring, experiments.
 
-Each option is declared once, with its type and default, on the argparse parser.
-A key=value config file (--config) spells flags in full without `--` and is
-parsed ahead of the command line, so flags override it.  All randomness flows
-from the seed options through `training.seeded_setup`.
+Each option is declared once, with its type, on the argparse parser; the
+defaults of `SEED_OPTIONS` are the library's alone, as a flag not given is
+not passed on.  A key=value config file (--config) spells flags in full
+without `--` and is parsed ahead of the command line, so flags override it.
+All randomness flows from --seed or --seeds through `training.seeded_setup`.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ import numpy as np
 from . import data as datamod
 from . import metrics, synth
 from .model import BERNOULLI, anomaly_score_batch, load_model, save_model
-from .training import DEFAULT_LAMBDA_GRID, run_seed, seeded_setup, sweep_lambda, train
+from .training import run_seed, seeded_setup, sweep_lambda, train
 
 
 # the --label value that scores rows without a label column
 NO_LABEL = "none"
 
+# `training.run_seed`'s options; all but knn_k are `training.seeded_setup`'s too
 SEED_OPTIONS = (
     "hidden", "components", "masks", "orderings", "train_anoms", "val_anoms",
-    "learning_rate", "max_epochs", "batch_size", "patience", "lambda_grid",
+    "learning_rate", "max_epochs", "batch_size", "patience", "lambda_grid", "knn_k",
 )
 
 
@@ -94,8 +96,8 @@ def _prepare_dataset(args):
 
 
 def _seed_options(args) -> dict:
-    """The fit flags, whose destinations are `training.seeded_setup`'s options."""
-    return {name: getattr(args, name) for name in SEED_OPTIONS}
+    """The `SEED_OPTIONS` given as flags; the library's defaults stand for the rest."""
+    return {name: getattr(args, name) for name in SEED_OPTIONS if hasattr(args, name)}
 
 
 def cmd_train(args) -> int:
@@ -135,15 +137,14 @@ def _check_attribute_names(found, expected) -> None:
             raise ValueError(f"attribute {pos} is {have!r} in the data but {want!r} in the model")
 
 
-def _check_binary(attributes, names, path) -> None:
-    """Fail at the first attribute value a Bernoulli head cannot score."""
+def _check_binary(attributes, table: datamod.CsvTable) -> None:
+    """Fail at the first attribute value a Bernoulli head cannot score, naming its CSV line."""
     bad = np.argwhere((attributes != 0.0) & (attributes != 1.0))
     if bad.size:
         row, col = bad[0]
-        line = datamod.csv_line_numbers(path)[row]
         raise ValueError(
-            f"attribute {names[col]} holds non-binary value {float(attributes[row, col])!r} "
-            f"on line {line}"
+            f"attribute {table.attribute_names[col]} holds non-binary value "
+            f"{float(attributes[row, col])!r} on line {table.line_numbers[row]}"
         )
 
 
@@ -158,7 +159,7 @@ def cmd_score(args) -> int:
         # clamping would turn an out-of-range binary value into 0 or 1
         attributes = stats.apply(attributes, clip=params.head != BERNOULLI)
     if params.head == BERNOULLI:
-        _check_binary(attributes, table.attribute_names, args.data)
+        _check_binary(attributes, table)
     scores = anomaly_score_batch(params, attributes)
     report = metrics.report_from_scores(np.arange(len(scores)), table.labels, scores)
     report.write_csv(str(out / "scores.csv"))
@@ -179,7 +180,7 @@ def cmd_experiment(args) -> int:
     ds, _ = _prepare_dataset(args)
     per_method: dict[str, list[float]] = {}
     for seed in args.seeds:
-        result = run_seed(ds, seed, knn_k=args.knn_k, **_seed_options(args))
+        result = run_seed(ds, seed, **_seed_options(args))
         aucs = result.aucs
         for method, value in aucs.items():
             per_method.setdefault(method, []).append(value)
@@ -243,18 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     files.add_argument("--out", help="output directory")
 
-    fit = argparse.ArgumentParser(add_help=False)
-    fit.add_argument("--epochs", dest="max_epochs", type=int, default=100, metavar="EPOCHS")
-    fit.add_argument("--lr", dest="learning_rate", type=float, default=1e-3, metavar="LR")
-    fit.add_argument("--batch-size", type=int, default=64)
-    fit.add_argument("--patience", type=int, default=10)
-    fit.add_argument("--hidden", type=int, default=500)
-    fit.add_argument("--components", type=int, default=3)
-    fit.add_argument("--masks", type=int, default=10)
-    fit.add_argument("--orderings", type=int, default=10)
-    fit.add_argument("--train-anoms", type=int, default=3)
-    fit.add_argument("--val-anoms", type=int, default=3)
-    fit.add_argument("--lambda-grid", type=_parse_grid, default=DEFAULT_LAMBDA_GRID)
+    fit = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    fit.add_argument("--epochs", dest="max_epochs", type=int, metavar="EPOCHS")
+    fit.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
+    fit.add_argument("--batch-size", type=int)
+    fit.add_argument("--patience", type=int)
+    fit.add_argument("--hidden", type=int)
+    fit.add_argument("--components", type=int)
+    fit.add_argument("--masks", type=int)
+    fit.add_argument("--orderings", type=int)
+    fit.add_argument("--train-anoms", type=int)
+    fit.add_argument("--val-anoms", type=int)
+    fit.add_argument("--lambda-grid", type=_parse_grid)
 
     seeded = argparse.ArgumentParser(add_help=False, parents=[files, fit])
     seeded.add_argument("--seed", type=int, default=0)
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--seeds", type=_parse_seeds, default=tuple(range(10)), help="e.g. 0..9 or 0,3,7"
     )
-    p_exp.add_argument("--knn-k", type=int, default=5)
+    p_exp.add_argument("--knn-k", type=int, default=argparse.SUPPRESS)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_synth = sub.add_parser(

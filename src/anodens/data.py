@@ -143,13 +143,14 @@ class CsvTable(NamedTuple):
     attributes: np.ndarray  # (n_rows, n_attributes) float64
     labels: np.ndarray | None  # (n_rows,) int64 in {0, 1}; None without a label column
     attribute_names: tuple[str, ...]
+    line_numbers: tuple[int, ...]  # each row's line in the file, header and blank lines counted
 
 
 def read_csv(path: str, label_column) -> CsvTable:
     """Read a headered CSV; `label_column` None reads every column as an attribute.
 
     The label column (selected by name or index) must hold 0/1 values or the
-    strings "normal"/"anomaly".
+    strings "normal"/"anomaly".  Blank lines are skipped.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -160,7 +161,7 @@ def read_csv(path: str, label_column) -> CsvTable:
         except StopIteration:
             raise ValueError("zero data rows (empty file)") from None
         label_idx = None if label_column is None else _resolve_label_column(header, label_column)
-        rows, labels = [], []
+        rows, labels, line_numbers = [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -177,6 +178,7 @@ def read_csv(path: str, label_column) -> CsvTable:
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"non-finite attribute value on line {line_no}")
             rows.append(values)
+            line_numbers.append(line_no)
     if not rows:
         raise ValueError("zero data rows")
     names = tuple(n for i, n in enumerate(header) if i != label_idx)
@@ -186,6 +188,7 @@ def read_csv(path: str, label_column) -> CsvTable:
         np.array(rows, dtype=np.float64),
         None if label_idx is None else np.array(labels, dtype=np.int64),
         names,
+        tuple(line_numbers),
     )
 
 
@@ -195,18 +198,12 @@ def load_csv(path: str, label_column) -> Dataset:
     Columns whose observed values are all 0 or 1 are flagged binary,
     everything else continuous.
     """
-    attributes, labels, names = read_csv(path, label_column)
+    attributes, labels, names, _ = read_csv(path, label_column)
     kinds = tuple(
         BINARY if np.isin(attributes[:, j], (0.0, 1.0)).all() else CONTINUOUS
         for j in range(attributes.shape[1])
     )
     return Dataset(attributes, labels, names, kinds)
-
-
-def csv_line_numbers(path: str) -> list[int]:
-    """File line number of each data row that load_csv keeps (blank lines are skipped)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [n for n, row in enumerate(csv.reader(fh), start=1) if n > 1 and row]
 
 
 def normalize_minmax(ds: Dataset) -> tuple[Dataset, NormStats]:

@@ -16,6 +16,7 @@ import zipfile
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -253,7 +254,8 @@ class ForwardCache:
     Every array has the dtype of x, the pass's compute dtype.  Output-layer
     arrays are head-major, (..., P, D): attribute is the innermost,
     contiguous axis.  Only log-space head terms are kept; backprop
-    exponentiates what it needs.  A pass without backprop keeps x and
+    exponentiates what it needs.  Member tiles fill every per-member array
+    but member_weight in place.  A pass without backprop keeps x and
     log_density alone and leaves every per-member field None.
     """
 
@@ -281,7 +283,7 @@ def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
     return x
 
 
-def _tiles(n: int, size: int) -> list[slice]:
+def tile_slices(n: int, size: int) -> list[slice]:
     """Consecutive slices of at most `size` covering range(n), each within it."""
     return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
@@ -452,13 +454,14 @@ def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
 
 def _members_forward(
     params: MadeParams, weights: _PassWeights, x: np.ndarray, members: slice, out=None
-):
-    """hidden (M', B, H) ReLU activations and raw (M', B, P, D) of the members in `members`.
+) -> np.ndarray:
+    """raw (M', B, P, D) outputs of the members in `members`.
 
-    With `out`, a (hidden, raw) pair of C-contiguous arrays of those shapes,
-    both are computed in it: a pass for backprop, which masks the output
-    weights.  Without it, a tile of few rows (see `_masks_activations`)
-    masks its activations instead.  Biases and the ReLU apply in place.
+    With `out`, a (hidden, raw) pair of C-contiguous (M', B, H) and
+    (M', B, P, D) arrays, the ReLU activations and the raw outputs are
+    computed in it: a pass for backprop, which masks the output weights.
+    Without it, a tile of few rows (see `_masks_activations`) masks its
+    activations instead.  Biases and the ReLU apply in place.
     """
     input_masks = params.masks.input_masks[members]
     output_masks = params.masks.output_masks[members]
@@ -476,13 +479,12 @@ def _members_forward(
         # the stored (H, D*P) columns, read as (D, H, P): a view in a float64 pass
         w_out = params.w_out.reshape(h, d, p).transpose(1, 0, 2).astype(x.dtype, copy=False)
         raw = np.matmul(masked_hidden, w_out)
-        raw = np.add(raw.transpose(0, 2, 3, 1), weights.b_out.reshape(p, d), order="C")
-        return hidden, raw
+        return np.add(raw.transpose(0, 2, 3, 1), weights.b_out.reshape(p, d), order="C")
     masked_w_out = _masked_w_out(weights.w_out, output_masks)
     raw = None if raw is None else raw.reshape(n_members, b, p * d)
     raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d), out=raw)
     raw += weights.b_out
-    return hidden, raw.reshape(n_members, b, p, d)
+    return raw.reshape(n_members, b, p, d)
 
 
 def _mixture_link(raw: np.ndarray, k: int):
@@ -516,29 +518,14 @@ def _kept_shapes(params: MadeParams) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _member_logdensity(params: MadeParams, x: np.ndarray, weights: _PassWeights) -> np.ndarray:
-    """(M, B) member log-densities; each tile task returns only its (M', B) share."""
-
-    def tile_logdensity(members: slice) -> np.ndarray:
-        # the result is allocated before the tile's temporaries, so it outlives
-        # them without pinning the heap above the space they free
-        member_ld = np.empty((members.stop - members.start, x.shape[0]), dtype=x.dtype)
-        raw = _members_forward(params, weights, x, members)[1]
-        return _head_terms(params, x, raw)["log_cond"].sum(axis=-1, out=member_ld)
-
-    # evened out, so the tiles of a short request end together on the workers;
-    # a member's log-densities do not depend on its tile
-    tiles = _even_tiles(params.masks.n_members, members_per_tile(params, x.dtype, x.shape[0]))
-    return np.concatenate(list(_map_tiles(tile_logdensity, tiles)))
-
-
 def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = True) -> ForwardCache:
     """Run every ensemble member on a batch and assemble the mixture log-density.
 
     The pass computes in the dtype of x: float32 rows give a float32 pass,
     any other rows a float64 one.  Members run in tiles of
     `members_per_tile`, up to `tile_workers()` tiles at once, so each tile's
-    masked weights are built, used and dropped while in cache.  With
+    masked weights are built, used and dropped while in cache; each tile
+    writes its members' share of arrays allocated before it.  With
     `for_backprop` every per-member array backprop reads is kept at full
     (M, B, ...) size.  Without it rows run in tiles of ROW_TILE and only x
     and log_density are kept, so memory does not grow with B beyond the
@@ -547,39 +534,42 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
     """
     x = _validate_input(x, params.n_attributes)
     weights = _pass_weights(params, x.dtype)
-    n_members = params.masks.n_members
+    n_members, b = params.masks.n_members, x.shape[0]
     # a Python float, so it cannot promote a float32 pass to float64
     log_n_members = float(np.log(n_members))
+    shapes = _kept_shapes(params) if for_backprop else {"member_logdensity": ()}
+
+    def tile(x_rows: np.ndarray, kept: dict[str, np.ndarray], members: slice) -> None:
+        out = (kept["hidden"][members], kept["raw"][members]) if for_backprop else None
+        raw = _members_forward(params, weights, x_rows, members, out)
+        terms = _head_terms(params, x_rows, raw)
+        terms["log_cond"].sum(axis=-1, out=kept["member_logdensity"][members])
+        if for_backprop:
+            for name, arr in terms.items():
+                kept[name][members] = arr
+
+    # a scoring row tile's member tiles are sized for its rows and evened out,
+    # so the tiles of a short request end together on the workers; a member's
+    # log-densities do not depend on its tile
+    log_density = np.empty(b, dtype=x.dtype)
+    for rows in [slice(0, b)] if for_backprop else tile_slices(b, ROW_TILE):
+        n_rows = rows.stop - rows.start
+        if for_backprop:
+            member_tiles = tile_slices(n_members, members_per_tile(params, x.dtype))
+        else:
+            member_tiles = _even_tiles(n_members, members_per_tile(params, x.dtype, n_rows))
+        kept = {
+            name: np.empty((n_members, n_rows, *shape), dtype=x.dtype)
+            for name, shape in shapes.items()
+        }
+        for _ in _map_tiles(partial(tile, x[rows], kept), member_tiles):
+            pass
+        total = _logsumexp(kept["member_logdensity"], axis=0)  # (rows,)
+        log_density[rows] = total - log_n_members
     if not for_backprop:
-        log_density = np.empty(x.shape[0], dtype=x.dtype)
-        for rows in _tiles(x.shape[0], ROW_TILE):
-            member_ld = _member_logdensity(params, x[rows], weights)
-            log_density[rows] = _logsumexp(member_ld, axis=0) - log_n_members
         return ForwardCache(x=x, log_density=log_density)
-
-    kept = {
-        name: np.empty((n_members, x.shape[0], *shape), dtype=x.dtype)
-        for name, shape in _kept_shapes(params).items()
-    }
-
-    def keep_tile(members: slice) -> None:
-        out = (kept["hidden"][members], kept["raw"][members])
-        raw = _members_forward(params, weights, x, members, out)[1]
-        terms = _head_terms(params, x, raw)
-        terms["member_logdensity"] = terms["log_cond"].sum(axis=-1)
-        for name, arr in terms.items():
-            kept[name][members] = arr
-
-    for _ in _map_tiles(keep_tile, _tiles(n_members, members_per_tile(params, x.dtype))):
-        pass
-    member_ld = kept["member_logdensity"]
-    total = _logsumexp(member_ld, axis=0)  # (B,)
-    return ForwardCache(
-        x=x,
-        log_density=total - log_n_members,
-        member_weight=np.exp(member_ld - total[None, :]),
-        **kept,
-    )
+    member_weight = np.exp(kept["member_logdensity"] - total[None, :])
+    return ForwardCache(x=x, log_density=log_density, member_weight=member_weight, **kept)
 
 
 def backprop_log_density(
@@ -600,7 +590,7 @@ def backprop_log_density(
 
     def tile_grads(members: slice) -> tuple[np.ndarray, ...]:
         """This tile's (w_in, b_in, w_out (H, P, D), b_out (P*D,)) gradient partials."""
-        # allocated before the tile's temporaries, as in tile_logdensity
+        # allocated before the tile's temporaries, as forward_ensemble's arrays are
         parts = tuple(np.empty(shape, x.dtype) for shape in ((d, h), (h,), (h, p, d), (p * d,)))
         raw, hidden = cache.raw[members], cache.hidden[members]
         input_masks = params.masks.input_masks[members]
@@ -640,7 +630,7 @@ def backprop_log_density(
     w_in_grad, b_in_grad = np.zeros((d, h), x.dtype), np.zeros(h, x.dtype)
     w_out_grad, b_out_grad = np.zeros((h, p, d), x.dtype), np.zeros(p * d, x.dtype)
     # summed here in tile order, so the sum is the same whatever the worker count
-    tiles = _tiles(params.masks.n_members, members_per_tile(params, x.dtype))
+    tiles = tile_slices(params.masks.n_members, members_per_tile(params, x.dtype))
     for w_in_part, b_in_part, w_out_part, b_out_part in _map_tiles(tile_grads, tiles):
         w_in_grad += w_in_part
         b_in_grad += b_in_part
@@ -665,7 +655,7 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
     if not 0 <= mask_index < masks.n_members:
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
     member = slice(mask_index, mask_index + 1)
-    raw = _members_forward(params, _pass_weights(params, x.dtype), x, member)[1][0, 0]  # (P, D)
+    raw = _members_forward(params, _pass_weights(params, x.dtype), x, member)[0, 0]  # (P, D)
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(

@@ -11,7 +11,9 @@ import numpy as np
 from .baselines import fit_gaussian, fit_knn, gaussian_score_batch, knn_score_batch
 from .data import Dataset, SplitBundle, split
 from .metrics import ScoreReport, auc, report_from_scores
-from .model import MadeParams, anomaly_score_batch, build_masks, choose_head, init_params
+from .model import (
+    MadeParams, anomaly_score_batch, build_masks, choose_head, init_params, tile_slices
+)
 from .objective import LabeledBatch, ObjectiveConfig, objective_and_gradient
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0)
@@ -137,11 +139,6 @@ class EarlyStopper:
         return self.epochs_since_best >= self.patience
 
 
-def _batch_slices(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield slice(start, min(start + batch_size, n))
-
-
 def _float32_rows(rows: np.ndarray) -> np.ndarray:
     """Training rows cast once to float32, the dtype every training step computes in.
 
@@ -209,7 +206,7 @@ def train(
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_normals))
         epoch_values = []
-        for chunk in _batch_slices(len(order), cfg.batch_size):
+        for chunk in tile_slices(len(order), cfg.batch_size):
             batch = LabeledBatch(train_normals[order[chunk]], train_anoms)
             value, grads = objective_and_gradient(params, batch, obj_cfg)
             adam_step(params.trainable(), grads, state, cfg)

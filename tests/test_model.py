@@ -420,13 +420,13 @@ class TestContractionOrders:
             assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
         # built once per member tile by each of: the single-row forward, and
         # the objective's forward and backward
-        n_tiles = len(model._tiles(5, model.members_per_tile(params, dtype)))
+        n_tiles = len(model.tile_slices(5, model.members_per_tile(params, dtype)))
         assert len(built) == 3 * n_tiles
 
     @pytest.mark.parametrize("n, size", [(100, 33), (100, 2), (7, 3), (13, 7), (5, 5), (3, 8)])
     def test_scoring_member_tiles_are_even(self, n, size):
         tiles = model._even_tiles(n, size)
-        assert len(tiles) == len(model._tiles(n, size))
+        assert len(tiles) == len(model.tile_slices(n, size))
         assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
         assert tiles[0].start == 0 and tiles[-1].stop == n
         sizes = {t.stop - t.start for t in tiles}
@@ -909,8 +909,13 @@ class TestTileWorkers:
                 self.force_workers(monkeypatch, workers)
                 tile_threads.clear()
                 value, grads = objective_and_gradient(params, batch, cfg)
+                # the cache's arrays, which the tiles fill in place: hidden, raw,
+                # member log-densities and weights, and the head terms
+                kept = [arr for arr in vars(forward_ensemble(params, x)).values()
+                        if arr is not None]
                 results[workers] = [log_density_batch(params, x), np.float64(value),
-                                    *grads.values(), *gradient(params, batch, cfg).values()]
+                                    *grads.values(), *gradient(params, batch, cfg).values(),
+                                    *kept]
                 if workers > 1:
                     assert any(name.startswith("anodens-tile") for name in tile_threads)
         finally:
