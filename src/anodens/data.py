@@ -143,7 +143,8 @@ class CsvTable(NamedTuple):
     attributes: np.ndarray  # (n_rows, n_attributes) float64
     labels: np.ndarray | None  # (n_rows,) int64 in {0, 1}; None without a label column
     attribute_names: tuple[str, ...]
-    line_numbers: tuple[int, ...]  # each row's line in the file, header and blank lines counted
+    # the file line each row starts on, counting the header's, blank and quoted-newline lines
+    line_numbers: tuple[int, ...]
 
 
 def read_csv(path: str, label_column) -> CsvTable:
@@ -162,7 +163,10 @@ def read_csv(path: str, label_column) -> CsvTable:
             raise ValueError("zero data rows (empty file)") from None
         label_idx = None if label_column is None else _resolve_label_column(header, label_column)
         rows, labels, line_numbers = [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        # a quoted field may span lines, so a row starts on the line after the last one read
+        next_line = reader.line_num + 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(header):

@@ -251,25 +251,22 @@ def choose_head(attribute_kinds) -> str:
 class ForwardCache:
     """Intermediates of a full-ensemble forward pass, kept for backprop.
 
-    Every array has the dtype of x, the pass's compute dtype.  Output-layer
-    arrays are head-major, (..., P, D): attribute is the innermost,
-    contiguous axis.  Only log-space head terms are kept; backprop
-    exponentiates what it needs.  Member tiles fill every per-member array
-    but member_weight in place.  A pass without backprop keeps x and
-    log_density alone and leaves every per-member field None.
+    Every array has the dtype of x, the pass's compute dtype.  head_grad is
+    head-major, (M, B, P, D): attribute is the innermost, contiguous axis.
+    It is the head's local gradient, so backprop starts from it and never
+    reads the raw outputs, which a pass drops tile by tile.  Member tiles
+    fill every per-member array but member_weight in place.  A pass without
+    backprop keeps x and log_density alone and leaves every per-member
+    field None.
     """
 
     x: np.ndarray  # (B, D)
     log_density: np.ndarray  # (B,)
     hidden: np.ndarray | None = None  # (M, B, H) ReLU activations
-    raw: np.ndarray | None = None  # (M, B, P, D)
+    # d(sum_d log_cond[m, b, d]) / d raw[m, b, j, d], per member and row
+    head_grad: np.ndarray | None = None  # (M, B, P, D)
     member_logdensity: np.ndarray | None = None  # (M, B)
     member_weight: np.ndarray | None = None  # (M, B) softmax of member log-densities
-    log_cond: np.ndarray | None = None  # (M, B, D) per-attribute log-conditionals
-    # gaussian head terms, each (M, B, K, D); None for bernoulli
-    log_mix: np.ndarray | None = None
-    sigmas: np.ndarray | None = None
-    scored: np.ndarray | None = None  # log_mix + per-component log-normal
 
 
 def _validate_input(x: np.ndarray, n_attributes: int) -> np.ndarray:
@@ -457,18 +454,16 @@ def _members_forward(
 ) -> np.ndarray:
     """raw (M', B, P, D) outputs of the members in `members`.
 
-    With `out`, a (hidden, raw) pair of C-contiguous (M', B, H) and
-    (M', B, P, D) arrays, the ReLU activations and the raw outputs are
-    computed in it: a pass for backprop, which masks the output weights.
-    Without it, a tile of few rows (see `_masks_activations`) masks its
-    activations instead.  Biases and the ReLU apply in place.
+    With `out`, a C-contiguous (M', B, H) array, the ReLU activations are
+    computed in it and kept: a pass for backprop, which masks the output
+    weights.  Without it, a tile of few rows (see `_masks_activations`)
+    masks its activations instead.  Biases and the ReLU apply in place.
     """
     input_masks = params.masks.input_masks[members]
     output_masks = params.masks.output_masks[members]
     n_members, b = members.stop - members.start, x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
-    hidden, raw = (None, None) if out is None else out
-    hidden = np.matmul(x, weights.w_in * input_masks, out=hidden)
+    hidden = np.matmul(x, weights.w_in * input_masks, out=out)
     hidden += weights.b_in
     np.maximum(hidden, 0.0, out=hidden)
     if out is None and _masks_activations(params, b):
@@ -481,8 +476,7 @@ def _members_forward(
         raw = np.matmul(masked_hidden, w_out)
         return np.add(raw.transpose(0, 2, 3, 1), weights.b_out.reshape(p, d), order="C")
     masked_w_out = _masked_w_out(weights.w_out, output_masks)
-    raw = None if raw is None else raw.reshape(n_members, b, p * d)
-    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d), out=raw)
+    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d))
     raw += weights.b_out
     return raw.reshape(n_members, b, p, d)
 
@@ -495,27 +489,35 @@ def _mixture_link(raw: np.ndarray, k: int):
     return log_mix, raw[..., k : 2 * k, :], sigmas
 
 
-def _head_terms(params: MadeParams, x: np.ndarray, raw: np.ndarray) -> dict[str, np.ndarray]:
-    """log_cond (M', B, D) and, for mixtures, the log-space terms backprop reads."""
+def _head(params: MadeParams, x: np.ndarray, raw: np.ndarray, grad=None) -> np.ndarray:
+    """log_cond (M', B, D) of raw outputs (M', B, P, D).
+
+    With `grad`, an (M', B, P, D) array, the head's local gradient
+    d(sum_d log_cond) / d raw is written into it: backprop multiplies it by
+    each member's upstream gradient.
+    """
     if params.head == GAUSSIAN_MIXTURE:
-        log_mix, means, sigmas = _mixture_link(raw, params.n_components)
+        k = params.n_components
+        log_mix, means, sigmas = _mixture_link(raw, k)
         z = (x[None, :, None, :] - means) / sigmas
         log_norm = -0.5 * LOG_2PI - np.log(sigmas) - 0.5 * z * z
         scored = log_mix + log_norm  # (M', B, K, D)
         log_cond = _logsumexp(scored, axis=-2)
-        return dict(log_cond=log_cond, log_mix=log_mix, sigmas=sigmas, scored=scored)
+        if grad is not None:
+            diff = x[None, :, None, :] - means
+            resp = np.exp(scored - log_cond[..., None, :])
+            inv_sigma = 1.0 / sigmas
+            np.subtract(resp, np.exp(log_mix), out=grad[..., :k, :])
+            np.multiply(resp * diff * inv_sigma, inv_sigma, out=grad[..., k : 2 * k, :])
+            g_sigma = resp * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
+            # scale raw feeds sigma through a softplus link
+            np.multiply(g_sigma, sigmoid(raw[..., 2 * k :, :]), out=grad[..., 2 * k :, :])
+        return log_cond
     logit = raw[..., 0, :]  # (M', B, D)
+    if grad is not None:
+        np.subtract(x, sigmoid(logit), out=grad[..., 0, :])
     # stable log-masses: log(phi) = -softplus(-t), log(1-phi) = -softplus(t)
-    return dict(log_cond=-(x * _softplus(-logit) + (1.0 - x) * _softplus(logit)))
-
-
-def _kept_shapes(params: MadeParams) -> dict[str, tuple[int, ...]]:
-    """Per-member, per-row shape of each array a pass for backprop keeps."""
-    h, p, d, k = params.n_hidden, params.head_width, params.n_attributes, params.n_components
-    shapes = dict(hidden=(h,), raw=(p, d), log_cond=(d,), member_logdensity=())
-    if params.head == GAUSSIAN_MIXTURE:
-        shapes.update(log_mix=(k, d), sigmas=(k, d), scored=(k, d))
-    return shapes
+    return -(x * _softplus(-logit) + (1.0 - x) * _softplus(logit))
 
 
 def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = True) -> ForwardCache:
@@ -526,27 +528,25 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
     `members_per_tile`, up to `tile_workers()` tiles at once, so each tile's
     masked weights are built, used and dropped while in cache; each tile
     writes its members' share of arrays allocated before it.  With
-    `for_backprop` every per-member array backprop reads is kept at full
-    (M, B, ...) size.  Without it rows run in tiles of ROW_TILE and only x
-    and log_density are kept, so memory does not grow with B beyond the
-    input and the output; a row tile of at most P/2 rows masks its
-    activations instead of its output weights (see `_masks_activations`).
+    `for_backprop` the hidden activations and the head's local gradient are
+    kept at full (M, B, ...) size.  Without it rows run in tiles of ROW_TILE
+    and only x and log_density are kept, so memory does not grow with B
+    beyond the input and the output; a row tile of at most P/2 rows masks
+    its activations instead of its output weights (see `_masks_activations`).
     """
     x = _validate_input(x, params.n_attributes)
     weights = _pass_weights(params, x.dtype)
     n_members, b = params.masks.n_members, x.shape[0]
+    h, p, d = params.n_hidden, params.head_width, params.n_attributes
     # a Python float, so it cannot promote a float32 pass to float64
     log_n_members = float(np.log(n_members))
-    shapes = _kept_shapes(params) if for_backprop else {"member_logdensity": ()}
+    hidden = np.empty((n_members, b, h), dtype=x.dtype) if for_backprop else None
+    head_grad = np.empty((n_members, b, p, d), dtype=x.dtype) if for_backprop else None
 
-    def tile(x_rows: np.ndarray, kept: dict[str, np.ndarray], members: slice) -> None:
-        out = (kept["hidden"][members], kept["raw"][members]) if for_backprop else None
+    def tile(x_rows: np.ndarray, member_logdensity: np.ndarray, members: slice) -> None:
+        out, grad = (hidden[members], head_grad[members]) if for_backprop else (None, None)
         raw = _members_forward(params, weights, x_rows, members, out)
-        terms = _head_terms(params, x_rows, raw)
-        terms["log_cond"].sum(axis=-1, out=kept["member_logdensity"][members])
-        if for_backprop:
-            for name, arr in terms.items():
-                kept[name][members] = arr
+        _head(params, x_rows, raw, grad).sum(axis=-1, out=member_logdensity[members])
 
     # a scoring row tile's member tiles are sized for its rows and evened out,
     # so the tiles of a short request end together on the workers; a member's
@@ -558,18 +558,15 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
             member_tiles = tile_slices(n_members, members_per_tile(params, x.dtype))
         else:
             member_tiles = _even_tiles(n_members, members_per_tile(params, x.dtype, n_rows))
-        kept = {
-            name: np.empty((n_members, n_rows, *shape), dtype=x.dtype)
-            for name, shape in shapes.items()
-        }
-        for _ in _map_tiles(partial(tile, x[rows], kept), member_tiles):
+        member_logdensity = np.empty((n_members, n_rows), dtype=x.dtype)
+        for _ in _map_tiles(partial(tile, x[rows], member_logdensity), member_tiles):
             pass
-        total = _logsumexp(kept["member_logdensity"], axis=0)  # (rows,)
+        total = _logsumexp(member_logdensity, axis=0)  # (rows,)
         log_density[rows] = total - log_n_members
     if not for_backprop:
         return ForwardCache(x=x, log_density=log_density)
-    member_weight = np.exp(kept["member_logdensity"] - total[None, :])
-    return ForwardCache(x=x, log_density=log_density, member_weight=member_weight, **kept)
+    member_weight = np.exp(member_logdensity - total[None, :])
+    return ForwardCache(x, log_density, hidden, head_grad, member_logdensity, member_weight)
 
 
 def backprop_log_density(
@@ -579,11 +576,13 @@ def backprop_log_density(
 
     Runs in the dtype of cache.x over the member tiles of the forward pass,
     up to `tile_workers()` at once, rebuilding each tile's masked output
-    weights, and returns float64 arrays.  Masks are constants; masked-out
+    weights, and returns float64 arrays.  Each tile's raw-output gradient is
+    its members' upstream gradient times the head's local gradient the
+    forward pass kept, whatever the head.  Masks are constants; masked-out
     weights receive exactly zero gradient.
     """
     x, b = cache.x, cache.x.shape[0]
-    h, d, p, k = params.n_hidden, params.n_attributes, params.head_width, params.n_components
+    h, d, p = params.n_hidden, params.n_attributes, params.head_width
     weights = _pass_weights(params, x.dtype)
     # d(obj)/d(member_ld), (M, B)
     upstream = cache.member_weight * np.asarray(coeff, dtype=x.dtype)[None, :]
@@ -592,24 +591,11 @@ def backprop_log_density(
         """This tile's (w_in, b_in, w_out (H, P, D), b_out (P*D,)) gradient partials."""
         # allocated before the tile's temporaries, as forward_ensemble's arrays are
         parts = tuple(np.empty(shape, x.dtype) for shape in ((d, h), (h,), (h, p, d), (p * d,)))
-        raw, hidden = cache.raw[members], cache.hidden[members]
+        hidden = cache.hidden[members]
         input_masks = params.masks.input_masks[members]
         # cast once: the einsum and the masked output weights both read it
         output_masks = params.masks.output_masks[members].astype(x.dtype)
-        if params.head == GAUSSIAN_MIXTURE:
-            u = upstream[members, :, None, None]
-            resp = np.exp(cache.scored[members] - cache.log_cond[members][..., None, :])
-            weighted = u * resp  # (M', B, K, D)
-            diff = x[None, :, None, :] - raw[..., k : 2 * k, :]  # x - means
-            inv_sigma = 1.0 / cache.sigmas[members]
-            g_logits = u * (resp - np.exp(cache.log_mix[members]))
-            g_means = weighted * diff * inv_sigma * inv_sigma
-            g_sigma = weighted * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
-            # scale raw feeds sigma through a softplus link
-            g_scale_raw = g_sigma * sigmoid(raw[..., 2 * k :, :])
-            raw_grad = np.concatenate([g_logits, g_means, g_scale_raw], axis=-2)
-        else:
-            raw_grad = upstream[members, :, None] * (x[None, :, :] - sigmoid(raw[..., 0, :]))
+        raw_grad = upstream[members, :, None, None] * cache.head_grad[members]
         n_members = hidden.shape[0]
         raw_grad = raw_grad.reshape(n_members, b, p * d)
         member_w_out_grad = np.matmul(hidden.transpose(0, 2, 1), raw_grad)

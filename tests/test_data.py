@@ -100,6 +100,29 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-finite attribute value on line 3"):
             load_csv(str(path), "label")
 
+    def test_multi_line_quoted_header_counts_file_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"a\nx",b,label\n1,2,0\n1,nan,0\n')
+        with pytest.raises(ValueError, match="non-finite attribute value on line 4"):
+            load_csv(str(path), "label")
+        path.write_text('"a\nx",b,label\n1,2,0\n\n3,4,1\n')
+        assert read_csv(str(path), "label").line_numbers == (3, 5)
+
+    def test_multi_line_quoted_field_counts_file_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        # float() strips the newline, so the first row parses; it spans lines 2-3
+        path.write_text('a,b,label\n"1\n",2,0\n3,4,1\n')
+        assert read_csv(str(path), "label").line_numbers == (2, 4)
+        path.write_text('a,b,label\n"1\n",2,0\n"x\ny",4,1\n')
+        with pytest.raises(ValueError, match="non-numeric attribute value on line 4"):
+            load_csv(str(path), "label")
+        path.write_text('a,b,label\n"1\n",2,0\n"x\ny",4\n')
+        with pytest.raises(ValueError, match="ragged row on line 4"):
+            load_csv(str(path), "label")
+        path.write_text('a,b,label\n"1\n\n",2,0\n3,4,"no\nrmal"\n')
+        with pytest.raises(ValueError, match=r"unparseable label 'no\\nrmal' on line 5"):
+            load_csv(str(path), "label")
+
     def test_bad_label_value(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "label"], [[1.0, 2]])
         with pytest.raises(ValueError, match="label"):

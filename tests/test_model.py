@@ -407,7 +407,7 @@ class TestContractionOrders:
         def arrays():
             cache = forward_ensemble(params, x[:1])
             value, grads = objective_and_gradient(params, batch, cfg)
-            return [cache.raw, cache.hidden, cache.log_density, np.float64(value),
+            return [cache.head_grad, cache.hidden, cache.log_density, np.float64(value),
                     *grads.values()]
 
         expected = arrays()
@@ -505,6 +505,21 @@ class TestComputeDtype:
             kept = {name: arr.dtype for name, arr in vars(cache).items() if arr is not None}
             assert set(kept.values()) == {np.dtype(np.float32)}, kept
             assert ("member_weight" in kept) == for_backprop
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pass_for_backprop_keeps_six_arrays(self, head, dtype):
+        params = tiny_params(head=head, seed=8, n_attributes=8, n_hidden=64, n_components=3,
+                             n_orderings=3, n_masks=2)
+        m, b, h, p, d = params.masks.n_members, 67, 64, params.head_width, 8
+        x = (np.random.default_rng(8).uniform(size=(b, d)) > 0.5).astype(dtype)
+        cache = forward_ensemble(params, x)
+        shapes = {name: arr.shape for name, arr in vars(cache).items()}
+        assert shapes == dict(x=(b, d), log_density=(b,), hidden=(m, b, h),
+                              head_grad=(m, b, p, d), member_logdensity=(m, b),
+                              member_weight=(m, b))
+        total = sum(arr.nbytes for arr in vars(cache).values())
+        assert total == np.dtype(dtype).itemsize * (m * b * (h + p * d + 2) + b * d + b)
 
     @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
     def test_float64_rows_give_float64_results(self, head):
