@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +129,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _check_attribute_names(found, expected) -> None:
-    """Fail at the first position where the data's attribute columns differ from the model's."""
-    for pos, (have, want) in enumerate(zip_longest(found, expected)):
+def _check_attribute_names(found: tuple, expected: tuple, unlabeled: bool) -> None:
+    """Fail if the data's attribute columns differ from the model's in count or at a position."""
+    if len(found) != len(expected):
+        problem = f"the data has {len(found)} attribute columns but the model {len(expected)}"
+        if unlabeled and found[:-1] == expected:
+            problem += (f"; its last column {found[-1]!r} may be a label column,"
+                        f" which --label {NO_LABEL} reads as an attribute")
+        raise ValueError(problem)
+    for pos, (have, want) in enumerate(zip(found, expected)):
         if have != want:
             raise ValueError(f"attribute {pos} is {have!r} in the data but {want!r} in the model")
 
@@ -155,7 +160,8 @@ def cmd_score(args) -> int:
     table = datamod.read_csv(args.data, None if args.label == NO_LABEL else args.label)
     attributes = table.attributes
     if stats is not None:
-        _check_attribute_names(table.attribute_names, stats.attribute_names)
+        _check_attribute_names(table.attribute_names, stats.attribute_names,
+                               args.label == NO_LABEL)
         # clamping would turn an out-of-range binary value into 0 or 1
         attributes = stats.apply(attributes, clip=params.head != BERNOULLI)
     if params.head == BERNOULLI:

@@ -13,8 +13,7 @@ import io
 import json
 import os
 import zipfile
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -29,7 +28,7 @@ SIGMA_MIN = 1e-3
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Format 2 stores the mask recipe; format 1 files, which store only its seed, still load.
+# Format 2 stores the mask recipe, so loading draws no masks from numpy's random streams.
 MODEL_FORMAT_VERSION = 2
 
 # Forward and backward run the ensemble a tile of members at a time, so a
@@ -347,38 +346,28 @@ def _tile_pool(threads: int) -> ThreadPoolExecutor:
 
 
 def _map_tiles(task, tiles: list):
-    """task(tile) for each tile, yielded in tile order, `tile_workers()` tiles at a time.
+    """task(tile) for each tile, yielded in tile order, in groups of `tile_workers()` tiles.
 
-    The calling thread runs tiles too, beside a pool of workers - 1 threads,
-    and at most `workers` tiles are started and not yet yielded at any time.
-    With one worker this is map(task, tiles).  If a tile raises,
-    the exception reaches the caller only once no tile is running.
+    The pool of workers - 1 threads runs every tile of a group but the last,
+    which the calling thread runs; once every tile of the group has stopped,
+    their results are yielded.  So at most `workers` tiles run at once, none
+    runs while a result is yielded (a consumer that stops early leaves none
+    running), and a tile's exception reaches the caller only once no tile
+    is running.  With one worker this is map(task, tiles).
     """
     workers = tile_workers().workers
-    if min(workers, len(tiles)) <= 1:
-        yield from map(task, tiles)
-        return
-    pool = _tile_pool(workers - 1)
-    window: deque[tuple[Future, bool]] = deque()  # (future, ran in the pool) per started tile
-    started = 0
-    try:
-        while window or started < len(tiles):
-            pooled = sum(in_pool for _, in_pool in window)
-            while started < len(tiles) and len(window) < workers and pooled < workers - 1:
-                window.append((pool.submit(task, tiles[started]), True))
-                started, pooled = started + 1, pooled + 1
-            if window[0][0].done() or started == len(tiles) or len(window) == workers:
-                yield window.popleft()[0].result()
-            else:
-                # the oldest tile is still running: run the next one here meanwhile
-                local = Future()
-                local.set_result(task(tiles[started]))
-                window.append((local, False))
-                started += 1
-    finally:
-        for future, _ in window:
-            future.cancel()
-        wait([future for future, _ in window])
+    for group in tile_slices(len(tiles), workers):
+        *pooled, last = tiles[group]
+        futures = [_tile_pool(workers - 1).submit(task, tile) for tile in pooled]
+        try:
+            result = task(last)
+        finally:
+            # exception() waits for a tile, and result() below raises its error; a
+            # comprehension, as a loop variable would keep a result into the next group
+            [future.exception() for future in futures]
+        while futures:  # popped, so no result outlives its yield
+            yield futures.pop(0).result()
+        yield result
 
 
 def _masks_activations(params: MadeParams, n_rows: int) -> bool:
@@ -733,14 +722,14 @@ def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
 def load_model(path: str):
     """Inverse of save_model; returns (MadeParams, NormStats or None).
 
-    Format 2 builds the masks from the file's stored orderings and degrees,
-    format 1 from its mask seed.  Every check fails with a one-line
-    ValueError naming the file: a file that is not an .npz archive, a
-    missing array or header key, a header value of the wrong type or below
-    its least value, an array of the wrong shape, a weight or stat that is
-    not real floating point or not finite, an ordering that is not a
-    permutation of 1..D, a hidden degree outside [1, D-1], attribute names
-    that are not a JSON list of D strings, and a min above its max.
+    Builds the masks from the file's stored orderings and degrees.  Every
+    check fails with a one-line ValueError naming the file: a file that is
+    not an .npz archive, a format other than MODEL_FORMAT_VERSION, a missing
+    array or header key, a header value of the wrong type or below its least
+    value, an array of the wrong shape, a weight or stat that is not real
+    floating point or not finite, an ordering that is not a permutation of
+    1..D, a hidden degree outside [1, D-1], attribute names that are not a
+    JSON list of D strings, and a min above its max.
     """
     from .data import NormStats
 
@@ -768,7 +757,7 @@ def load_model(path: str):
         if not isinstance(header, dict):
             raise fail("has a header that is not a JSON object")
         version = need(header, "format_version", "header key")
-        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise fail(f"has unsupported model format version {version!r}")
         for key, (kind, least) in _HEADER_KEYS.items():
             value = need(header, key, "header key")
@@ -784,35 +773,29 @@ def load_model(path: str):
         d, h = header["n_attributes"], header["n_hidden"]
         n_orderings, n_masks = header["n_orderings"], header["n_masks_per_ordering"]
         width = d * _head_width(head, k)
-        expected = {"w_in": (d, h), "b_in": (h,), "w_out": (h, width), "b_out": (width,)}
+        # the head-major forward reshapes w_out and b_out by this layout
+        expected = {"w_in": (d, h), "b_in": (h,), "w_out": (h, width), "b_out": (width,),
+                    "orderings": (n_orderings, d), "hidden_degrees": (n_orderings * n_masks, h)}
         if header["has_norm_stats"]:
             expected.update(norm_mins=(d,), norm_maxs=(d,))
-        # format 1 stores no recipe arrays: its masks are rebuilt from the seed
-        recipe = {} if version == 1 else {
-            "orderings": (n_orderings, d), "hidden_degrees": (n_orderings * n_masks, h)
-        }
-        # the head-major forward reshapes w_out and b_out by this layout
         arrays = {}
-        for name, shape in (*expected.items(), *recipe.items()):
+        for name, shape in expected.items():
             arr = arrays[name] = need(payload, name, "array")
             if arr.shape != shape:
                 raise fail(f"array {name} has shape {arr.shape}, expected {shape}")
-            if name in recipe:
+            if name in ("orderings", "hidden_degrees"):
                 if arr.dtype.kind not in "iu":
                     raise fail(f"array {name} has dtype {arr.dtype}, expected integers")
             elif not np.issubdtype(arr.dtype, np.floating):
                 raise fail(f"array {name} has dtype {arr.dtype}, expected real floating point")
             elif not np.isfinite(arr).all():
                 raise fail(f"array {name} holds a non-finite value")
-        if version == 1:
-            masks = build_masks(d, h, n_orderings, n_masks, header["mask_seed"])
-        else:
-            orderings, degrees = arrays["orderings"], arrays["hidden_degrees"]
-            if not (np.sort(orderings, axis=1) == np.arange(1, d + 1)).all():
-                raise fail(f"array orderings holds a row that is not a permutation of 1..{d}")
-            if not ((degrees >= 1) & (degrees <= d - 1)).all():
-                raise fail(f"array hidden_degrees holds a degree outside [1, {d - 1}]")
-            masks = _mask_set(orderings, degrees, n_masks, header["mask_seed"])
+        orderings, degrees = arrays["orderings"], arrays["hidden_degrees"]
+        if not (np.sort(orderings, axis=1) == np.arange(1, d + 1)).all():
+            raise fail(f"array orderings holds a row that is not a permutation of 1..{d}")
+        if not ((degrees >= 1) & (degrees <= d - 1)).all():
+            raise fail(f"array hidden_degrees holds a degree outside [1, {d - 1}]")
+        masks = _mask_set(orderings, degrees, n_masks, header["mask_seed"])
         params = MadeParams(
             w_in=arrays["w_in"],
             b_in=arrays["b_in"],

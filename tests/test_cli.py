@@ -142,6 +142,36 @@ class TestScoreInputs:
         assert "\n" not in err
         assert not (out / "scores.csv").exists()
 
+    def test_label_column_kept_by_label_none_is_named(self, trained_model, tmp_path, capsys):
+        data, model_path = trained_model
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(data), "--label", "none",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the data has 4 attribute columns but the model 3; its last column 'label'"
+            " may be a label column, which --label none reads as an attribute\n"
+        )
+        assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_attribute_count_mismatch_names_both_counts(self, trained_model, tmp_path, capsys,
+                                                        change):
+        data, model_path = trained_model
+        rows = [line.split(",") for line in data.read_text().splitlines()]
+        if change == "extra":  # a fourth attribute column before the label
+            rows = [[*r[:3], "0.5" if i else "extra", r[3]] for i, r in enumerate(rows)]
+        else:  # the third attribute column dropped
+            rows = [[*r[:2], r[3]] for r in rows]
+        path = tmp_path / "columns.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: the data has {len(rows[0]) - 1} attribute columns but the model 3\n"
+        )
+        assert not (out / "scores.csv").exists()
 
     def test_non_binary_value_rejected_by_bernoulli_model(self, tmp_path, capsys):
         model_path = tmp_path / "model.bin"

@@ -790,25 +790,6 @@ class TestPersistence:
             load_model(str(path))
         assert str(exc.value) == f"model file {path} {problem}"
 
-    def test_format_1_file_loads_the_seeded_masks(self, tmp_path):
-        """A file of format 1, which stores only the mask seed, as earlier versions wrote it."""
-        params = init_params(build_masks(4, 5, 2, 2, seed=3), GAUSSIAN_MIXTURE, 2, seed=4)
-        path = tmp_path / "model.bin"
-        header, arrays = self.saved_arrays(path, params)
-        header["format_version"] = 1
-        del arrays["orderings"], arrays["hidden_degrees"]
-        self.write(path, header, arrays)
-        loaded, _ = load_model(str(path))
-        # the masks format 1 files have always loaded with this seed
-        np.testing.assert_array_equal(loaded.masks.orderings, [[1, 2, 3, 4], [4, 3, 2, 1]])
-        np.testing.assert_array_equal(
-            loaded.masks.hidden_degrees,
-            [[1, 3, 3, 2, 1], [1, 1, 2, 2, 2], [1, 1, 3, 3, 1], [1, 2, 2, 3, 2]],
-        )
-        assert_same_model(loaded, params)
-        x = np.random.default_rng(4).uniform(size=(5, 4))
-        assert log_density_batch(loaded, x).tobytes() == log_density_batch(params, x).tobytes()
-
     @pytest.mark.parametrize(
         "key, value, problem",
         [
@@ -821,6 +802,7 @@ class TestPersistence:
             ("n_hidden", 0, "header key 'n_hidden' is 0, expected at least 1"),
             ("n_attributes", 1, "header key 'n_attributes' is 1, expected at least 2"),
             ("mask_seed", -1, "header key 'mask_seed' is -1, expected at least 0"),
+            ("format_version", 1, "has unsupported model format version 1"),
             ("format_version", 3, "has unsupported model format version 3"),
             ("format_version", "2", "has unsupported model format version '2'"),
             ("format_version", True, "has unsupported model format version True"),
@@ -850,20 +832,15 @@ class TestPersistence:
         params = tiny_params(seed=44, n_attributes=4, n_hidden=6, n_components=2,
                              n_orderings=2, n_masks=2)
         whole = tmp_path / "model.bin"
-        # a file of the current format, and one of format 1 without the recipe arrays
-        header, arrays = self.saved_arrays(whole, params)
-        files = [whole.read_bytes()]
-        self.write(whole, {**header, "format_version": 1},
-                   {k: v for k, v in arrays.items() if k not in ("orderings", "hidden_degrees")})
-        files.append(whole.read_bytes())
+        save_model(str(whole), params)
+        data = whole.read_bytes()
         path = tmp_path / "cut.bin"
-        for data in files:
-            for size in range(len(data)):
-                path.write_bytes(data[:size])
-                with pytest.raises(ValueError) as exc:
-                    load_model(str(path))
-                message = str(exc.value)
-                assert str(path) in message and "\n" not in message, (size, message)
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError) as exc:
+                load_model(str(path))
+            message = str(exc.value)
+            assert str(path) in message and "\n" not in message, (size, message)
 
 
 class TestTileWorkers:
@@ -965,6 +942,30 @@ class TestTileWorkers:
         monkeypatch.setattr(model, "_members_forward", tile)
         with pytest.raises(RuntimeError, match=r"^tile 0 failed in anodens-tile"):
             log_density_batch(params, np.full((3, 3), 0.5))
+        assert running[0] == 0
+
+    def test_tiles_run_in_groups_of_workers_with_the_last_in_the_caller(self, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        running, most, threads, lock = [0], [0], {}, threading.Lock()
+
+        def task(tile):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            threads[tile] = threading.current_thread()
+            time.sleep(0.02)
+            with lock:
+                running[0] -= 1
+            return tile * 10
+
+        assert list(model._map_tiles(task, list(range(7)))) == [0, 10, 20, 30, 40, 50, 60]
+        assert most[0] <= 3
+        # groups (0, 1, 2), (3, 4, 5) and (6,): the caller runs each group's last tile
+        caller = threading.current_thread()
+        assert [tile for tile, thread in sorted(threads.items()) if thread is caller] == [2, 5, 6]
+        tiles = model._map_tiles(task, list(range(7)))
+        assert next(tiles) == 0
+        tiles.close()
         assert running[0] == 0
 
     def test_importing_anodens_starts_no_thread(self):
