@@ -61,7 +61,7 @@ def _config_tokens(path: str, options: set[str]) -> list[str]:
     argparse alone would resolve a prefix such as `conf` to `--config`.
     """
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -11,8 +11,13 @@ import numpy as np
 def _counts_at_or_above(anomaly_scores: np.ndarray, normal_scores: np.ndarray):
     """(distinct scores descending, int64 counts of anomalies and of normals scoring >= each).
 
-    One sort plus cumulative counts, O(n log n).
+    One sort plus cumulative counts, O(n log n).  Both score lists must be
+    non-empty and finite.
     """
+    if anomaly_scores.size == 0 or normal_scores.size == 0:
+        raise ValueError("both score lists must be non-empty")
+    if not (np.isfinite(anomaly_scores).all() and np.isfinite(normal_scores).all()):
+        raise ValueError("scores must be finite")
     n_anom = anomaly_scores.size
     thresholds, group = np.unique(
         np.concatenate([anomaly_scores, normal_scores]), return_inverse=True
@@ -32,10 +37,6 @@ def auc(anomaly_scores, normal_scores) -> float:
     """
     anomaly_scores = np.asarray(anomaly_scores, dtype=np.float64)
     normal_scores = np.asarray(normal_scores, dtype=np.float64)
-    if anomaly_scores.size == 0 or normal_scores.size == 0:
-        raise ValueError("both score lists must be non-empty")
-    if not (np.isfinite(anomaly_scores).all() and np.isfinite(normal_scores).all()):
-        raise ValueError("scores must be finite")
     _, tp, fp = _counts_at_or_above(anomaly_scores, normal_scores)
     # normals entering at a threshold count 2 per anomaly above it, 1 per anomaly tied at it
     twice_pairs = np.dot(np.diff(fp, prepend=0), tp + np.r_[0, tp[:-1]])
@@ -46,7 +47,8 @@ def roc_points(anomaly_scores, normal_scores) -> np.ndarray:
     """(threshold, fpr, tpr) rows with thresholds descending, for plotting.
 
     The first row is (inf, 0, 0); each distinct score is then one threshold t,
-    with the shares of anomalies and normals scoring >= t.
+    with the shares of anomalies and normals scoring >= t.  Like `auc`, it
+    rejects an empty or non-finite score list.
     """
     anomaly_scores = np.asarray(anomaly_scores, dtype=np.float64)
     normal_scores = np.asarray(normal_scores, dtype=np.float64)

@@ -14,7 +14,7 @@ import json
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -179,13 +179,17 @@ class ConditionalParams:
 
 @dataclass
 class MadeParams:
-    """All trainable weights plus the mask ensemble and head configuration."""
+    """All trainable weights plus the mask ensemble and head configuration.
+
+    The output layer is head-major, attribute innermost: w_out[h, j, d] and
+    b_out[j, d] feed raw output j of attribute d.  Only `init_params`,
+    `save_model` and `load_model` know the file's column order, d * P + j.
+    """
 
     w_in: np.ndarray  # (D, H)
     b_in: np.ndarray  # (H,)
-    # stored column d * head_width + j is raw output j of attribute d
-    w_out: np.ndarray  # (H, D * head_width)
-    b_out: np.ndarray  # (D * head_width,)
+    w_out: np.ndarray  # (H, head_width, D) C-contiguous
+    b_out: np.ndarray  # (head_width, D) C-contiguous
     head: str
     n_components: int
     masks: MaskSet
@@ -206,15 +210,26 @@ class MadeParams:
         return {"w_in": self.w_in, "b_in": self.b_in, "w_out": self.w_out, "b_out": self.b_out}
 
     def copy(self) -> "MadeParams":
-        return MadeParams(
-            self.w_in.copy(),
-            self.b_in.copy(),
-            self.w_out.copy(),
-            self.b_out.copy(),
-            self.head,
-            self.n_components,
-            self.masks,
+        return replace(self, **{name: arr.copy() for name, arr in self.trainable().items()})
+
+    def astype(self, dtype) -> "MadeParams":
+        """These params with every weight in `dtype`; an array already in it is not copied."""
+        return replace(
+            self, **{name: arr.astype(dtype, copy=False) for name, arr in self.trainable().items()}
         )
+
+
+def _head_major(columns: np.ndarray, n_attributes: int) -> np.ndarray:
+    """A C-contiguous (..., P, D) copy of file-order (..., D * P) output weights or biases."""
+    *lead, width = columns.shape
+    by_attribute = columns.reshape(*lead, n_attributes, width // n_attributes)
+    return np.ascontiguousarray(np.swapaxes(by_attribute, -1, -2))
+
+
+def _file_order(head_major: np.ndarray) -> np.ndarray:
+    """Inverse of `_head_major`: column d * P + j of the result is element [..., j, d]."""
+    *lead, p, d = head_major.shape
+    return np.swapaxes(head_major, -1, -2).reshape(*lead, d * p)
 
 
 def init_params(
@@ -233,8 +248,9 @@ def init_params(
     return MadeParams(
         w_in=rng.uniform(-lim_in, lim_in, size=(d, h)),
         b_in=np.zeros(h),
-        w_out=rng.uniform(-lim_out, lim_out, size=(h, d * width)),
-        b_out=np.zeros(d * width),
+        # drawn in the file's column order, so a seed gives the same weights in any layout
+        w_out=_head_major(rng.uniform(-lim_out, lim_out, size=(h, d * width)), d),
+        b_out=np.zeros((width, d)),
         head=head,
         n_components=n_components,
         masks=masks,
@@ -404,27 +420,6 @@ def members_per_tile(params: MadeParams, dtype, scoring_rows: int | None = None)
     return max(1, TILE_BYTES // (member_items * np.dtype(dtype).itemsize))
 
 
-class _PassWeights(NamedTuple):
-    """Weights of one pass in its compute dtype; float64 reads the stored arrays."""
-
-    w_in: np.ndarray  # (D, H)
-    b_in: np.ndarray  # (H,)
-    # head-major: stored column d*P + j is element [j, d], so each (hidden unit,
-    # attribute) mask row gates a contiguous D-long run of weights per head output j
-    w_out: np.ndarray  # (H, P, D) contiguous
-    b_out: np.ndarray  # (P*D,)
-
-
-def _pass_weights(params: MadeParams, dtype) -> _PassWeights:
-    h, d, p = params.n_hidden, params.n_attributes, params.head_width
-    return _PassWeights(
-        w_in=params.w_in.astype(dtype, copy=False),
-        b_in=params.b_in.astype(dtype, copy=False),
-        w_out=np.ascontiguousarray(params.w_out.reshape(h, d, p).transpose(0, 2, 1), dtype=dtype),
-        b_out=params.b_out.reshape(d, p).T.ravel().astype(dtype, copy=False),
-    )
-
-
 def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
     """Head-major output weights (M', H, P, D) of a member tile, each under its mask.
 
@@ -438,35 +433,41 @@ def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
     return w_out * output_masks[:, :, None, :]
 
 
+def _attribute_major_w_out(params: MadeParams, n_rows: int) -> np.ndarray | None:
+    """w_out as C-contiguous (D, H, P) for a row tile that masks its activations, else None."""
+    if not _masks_activations(params, n_rows):
+        return None
+    return np.ascontiguousarray(params.w_out.transpose(2, 0, 1))
+
+
 def _members_forward(
-    params: MadeParams, weights: _PassWeights, x: np.ndarray, members: slice, out=None
+    params: MadeParams, x: np.ndarray, members: slice, out=None, w_out_by_attribute=None
 ) -> np.ndarray:
-    """raw (M', B, P, D) outputs of the members in `members`.
+    """raw (M', B, P, D) outputs of the members in `members`, in the dtype of `params`.
 
     With `out`, a C-contiguous (M', B, H) array, the ReLU activations are
     computed in it and kept: a pass for backprop, which masks the output
-    weights.  Without it, a tile of few rows (see `_masks_activations`)
-    masks its activations instead.  Biases and the ReLU apply in place.
+    weights.  With `w_out_by_attribute` (see `_attribute_major_w_out`) a
+    tile of few rows masks its activations instead.  Biases and the ReLU
+    apply in place.
     """
     input_masks = params.masks.input_masks[members]
     output_masks = params.masks.output_masks[members]
     n_members, b = members.stop - members.start, x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
-    hidden = np.matmul(x, weights.w_in * input_masks, out=out)
-    hidden += weights.b_in
+    hidden = np.matmul(x, params.w_in * input_masks, out=out)
+    hidden += params.b_in
     np.maximum(hidden, 0.0, out=hidden)
-    if out is None and _masks_activations(params, b):
+    if w_out_by_attribute is not None:
         # each attribute's copy of the activations under its output mask,
         # (M', D, B, H), times that attribute's (H, P) weights: each BLAS call
         # covers one member and attribute, so no result depends on the tiling
         masked_hidden = hidden[:, None] * output_masks.transpose(0, 2, 1)[:, :, None, :]
-        # the stored (H, D*P) columns, read as (D, H, P): a view in a float64 pass
-        w_out = params.w_out.reshape(h, d, p).transpose(1, 0, 2).astype(x.dtype, copy=False)
-        raw = np.matmul(masked_hidden, w_out)
-        return np.add(raw.transpose(0, 2, 3, 1), weights.b_out.reshape(p, d), order="C")
-    masked_w_out = _masked_w_out(weights.w_out, output_masks)
+        raw = np.matmul(masked_hidden, w_out_by_attribute)
+        return np.add(raw.transpose(0, 2, 3, 1), params.b_out, order="C")
+    masked_w_out = _masked_w_out(params.w_out, output_masks)
     raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d))
-    raw += weights.b_out
+    raw += params.b_out.reshape(p * d)
     return raw.reshape(n_members, b, p, d)
 
 
@@ -524,7 +525,7 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
     its activations instead of its output weights (see `_masks_activations`).
     """
     x = _validate_input(x, params.n_attributes)
-    weights = _pass_weights(params, x.dtype)
+    params = params.astype(x.dtype)
     n_members, b = params.masks.n_members, x.shape[0]
     h, p, d = params.n_hidden, params.head_width, params.n_attributes
     # a Python float, so it cannot promote a float32 pass to float64
@@ -532,9 +533,9 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
     hidden = np.empty((n_members, b, h), dtype=x.dtype) if for_backprop else None
     head_grad = np.empty((n_members, b, p, d), dtype=x.dtype) if for_backprop else None
 
-    def tile(x_rows: np.ndarray, member_logdensity: np.ndarray, members: slice) -> None:
+    def tile(x_rows, member_logdensity, w_out_by_attribute, members: slice) -> None:
         out, grad = (hidden[members], head_grad[members]) if for_backprop else (None, None)
-        raw = _members_forward(params, weights, x_rows, members, out)
+        raw = _members_forward(params, x_rows, members, out, w_out_by_attribute)
         _head(params, x_rows, raw, grad).sum(axis=-1, out=member_logdensity[members])
 
     # a scoring row tile's member tiles are sized for its rows and evened out,
@@ -545,10 +546,13 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
         n_rows = rows.stop - rows.start
         if for_backprop:
             member_tiles = tile_slices(n_members, members_per_tile(params, x.dtype))
+            w_out_by_attribute = None
         else:
             member_tiles = _even_tiles(n_members, members_per_tile(params, x.dtype, n_rows))
+            w_out_by_attribute = _attribute_major_w_out(params, n_rows)
         member_logdensity = np.empty((n_members, n_rows), dtype=x.dtype)
-        for _ in _map_tiles(partial(tile, x[rows], member_logdensity), member_tiles):
+        task = partial(tile, x[rows], member_logdensity, w_out_by_attribute)
+        for _ in _map_tiles(task, member_tiles):
             pass
         total = _logsumexp(member_logdensity, axis=0)  # (rows,)
         log_density[rows] = total - log_n_members
@@ -572,25 +576,26 @@ def backprop_log_density(
     """
     x, b = cache.x, cache.x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
-    weights = _pass_weights(params, x.dtype)
+    params = params.astype(x.dtype)
     # d(obj)/d(member_ld), (M, B)
     upstream = cache.member_weight * np.asarray(coeff, dtype=x.dtype)[None, :]
 
-    def tile_grads(members: slice) -> tuple[np.ndarray, ...]:
-        """This tile's (w_in, b_in, w_out (H, P, D), b_out (P*D,)) gradient partials."""
+    def tile_grads(members: slice) -> list[np.ndarray]:
+        """This tile's gradient partials, one per trainable array and of its shape."""
         # allocated before the tile's temporaries, as forward_ensemble's arrays are
-        parts = tuple(np.empty(shape, x.dtype) for shape in ((d, h), (h,), (h, p, d), (p * d,)))
+        parts = [np.empty_like(arr) for arr in params.trainable().values()]
         hidden = cache.hidden[members]
         input_masks = params.masks.input_masks[members]
         # cast once: the einsum and the masked output weights both read it
         output_masks = params.masks.output_masks[members].astype(x.dtype)
-        raw_grad = upstream[members, :, None, None] * cache.head_grad[members]
+        raw_grad = upstream[members, :, None, None] * cache.head_grad[members]  # (M', B, P, D)
+        raw_grad.sum(axis=(0, 1), out=parts[3])
         n_members = hidden.shape[0]
         raw_grad = raw_grad.reshape(n_members, b, p * d)
         member_w_out_grad = np.matmul(hidden.transpose(0, 2, 1), raw_grad)
         member_w_out_grad = member_w_out_grad.reshape(n_members, h, p, d)
         np.einsum("mhpd,mhd->hpd", member_w_out_grad, output_masks, out=parts[2])
-        masked_w_out = _masked_w_out(weights.w_out, output_masks).reshape(n_members, h, p * d)
+        masked_w_out = _masked_w_out(params.w_out, output_masks).reshape(n_members, h, p * d)
         # the hidden gradient, masked in place by hidden > 0 (the ReLU's pre > 0
         # mask, NaN and -0.0 included), becomes the pre-activation gradient
         pre_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
@@ -599,25 +604,14 @@ def backprop_log_density(
         member_w_in_grad *= input_masks
         member_w_in_grad.sum(axis=0, out=parts[0])
         pre_grad.sum(axis=(0, 1), out=parts[1])
-        raw_grad.sum(axis=(0, 1), out=parts[3])
         return parts
 
-    w_in_grad, b_in_grad = np.zeros((d, h), x.dtype), np.zeros(h, x.dtype)
-    w_out_grad, b_out_grad = np.zeros((h, p, d), x.dtype), np.zeros(p * d, x.dtype)
+    grads = {name: np.zeros_like(arr) for name, arr in params.trainable().items()}
     # summed here in tile order, so the sum is the same whatever the worker count
     tiles = tile_slices(params.masks.n_members, members_per_tile(params, x.dtype))
-    for w_in_part, b_in_part, w_out_part, b_out_part in _map_tiles(tile_grads, tiles):
-        w_in_grad += w_in_part
-        b_in_grad += b_in_part
-        w_out_grad += w_out_part
-        b_out_grad += b_out_part
-    # both output gradients go back from the (P, D) compute order to the stored d*P + j columns
-    grads = {
-        "w_in": w_in_grad,
-        "b_in": b_in_grad,
-        "w_out": w_out_grad.transpose(0, 2, 1).reshape(h, d * p),
-        "b_out": b_out_grad.reshape(p, d).T.ravel(),
-    }
+    for parts in _map_tiles(tile_grads, tiles):
+        for grad, part in zip(grads.values(), parts):
+            grad += part
     return {name: grad.astype(np.float64, copy=False) for name, grad in grads.items()}
 
 
@@ -629,8 +623,9 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
     masks = params.masks
     if not 0 <= mask_index < masks.n_members:
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
+    params = params.astype(x.dtype)
     member = slice(mask_index, mask_index + 1)
-    raw = _members_forward(params, _pass_weights(params, x.dtype), x, member)[0, 0]  # (P, D)
+    raw = _members_forward(params, x, member, None, _attribute_major_w_out(params, 1))[0, 0]
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(
@@ -682,6 +677,7 @@ _TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
 def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
     """Persist weights, the mask recipe (orderings and hidden degrees) and optional stats.
 
+    The output layer goes in the file's column order (see `_file_order`).
     The orderings and degrees go in the smallest unsigned integer type that
     holds D; the mask seed stays in the header as provenance.
     """
@@ -702,8 +698,8 @@ def save_model(path: str, params: MadeParams, norm_stats=None) -> None:
         "header_json": np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
         "w_in": params.w_in.astype(np.float64),
         "b_in": params.b_in.astype(np.float64),
-        "w_out": params.w_out.astype(np.float64),
-        "b_out": params.b_out.astype(np.float64),
+        "w_out": _file_order(params.w_out).astype(np.float64),
+        "b_out": _file_order(params.b_out).astype(np.float64),
         "orderings": masks.orderings.astype(recipe_dtype),
         "hidden_degrees": masks.hidden_degrees.astype(recipe_dtype),
     }
@@ -773,7 +769,7 @@ def load_model(path: str):
         d, h = header["n_attributes"], header["n_hidden"]
         n_orderings, n_masks = header["n_orderings"], header["n_masks_per_ordering"]
         width = d * _head_width(head, k)
-        # the head-major forward reshapes w_out and b_out by this layout
+        # w_out and b_out in the file's column order, d * P + j
         expected = {"w_in": (d, h), "b_in": (h,), "w_out": (h, width), "b_out": (width,),
                     "orderings": (n_orderings, d), "hidden_degrees": (n_orderings * n_masks, h)}
         if header["has_norm_stats"]:
@@ -795,12 +791,15 @@ def load_model(path: str):
             raise fail(f"array orderings holds a row that is not a permutation of 1..{d}")
         if not ((degrees >= 1) & (degrees <= d - 1)).all():
             raise fail(f"array hidden_degrees holds a degree outside [1, {d - 1}]")
+        # made head-major before the masks, so the file's copies are freed first
+        w_out = _head_major(arrays.pop("w_out"), d)
+        b_out = _head_major(arrays.pop("b_out"), d)
         masks = _mask_set(orderings, degrees, n_masks, header["mask_seed"])
         params = MadeParams(
             w_in=arrays["w_in"],
             b_in=arrays["b_in"],
-            w_out=arrays["w_out"],
-            b_out=arrays["b_out"],
+            w_out=w_out,
+            b_out=b_out,
             head=head,
             n_components=k,
             masks=masks,

@@ -127,7 +127,7 @@ def sigmoid_two_branch(s):
 
 
 def reference_log_density(params, x):
-    """Ensemble log-density by a plain loop over members in the stored (D, P) column order.
+    """Ensemble log-density by a plain loop over members in the file's (D, P) column order.
 
     Column d * P + j of w_out and b_out is raw output j of attribute d; the
     raw outputs of attribute d are logits, means and softplus scales (mixture)
@@ -136,11 +136,14 @@ def reference_log_density(params, x):
     masks = params.masks
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d, p, k = params.n_attributes, params.head_width, params.n_components
+    # the head-major params[..., j, d] in the file's column order
+    w_out = params.w_out.transpose(0, 2, 1).reshape(params.n_hidden, d * p)
+    b_out = params.b_out.T.ravel()
     member_ld = []
     for m in range(masks.n_members):
         hidden = np.maximum(x @ (params.w_in * masks.input_masks[m]) + params.b_in, 0.0)
         out_mask = np.repeat(masks.output_masks[m], p, axis=1)  # (H, D * P)
-        raw = (hidden @ (params.w_out * out_mask) + params.b_out).reshape(len(x), d, p)
+        raw = (hidden @ (w_out * out_mask) + b_out).reshape(len(x), d, p)
         if params.head == GAUSSIAN_MIXTURE:
             logits = raw[:, :, :k]
             log_mix = logits - np.logaddexp.reduce(logits, axis=2, keepdims=True)

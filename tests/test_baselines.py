@@ -56,8 +56,8 @@ class TestGaussianBaseline:
         for arr in params.trainable().values():
             arr[...] = 0.0
         sigma = np.sqrt(baseline.variances)
-        params.b_out[1::3] = baseline.means
-        params.b_out[2::3] = np.log(np.expm1(sigma - SIGMA_MIN))
+        params.b_out[1] = baseline.means
+        params.b_out[2] = np.log(np.expm1(sigma - SIGMA_MIN))
         x = rng.uniform(size=(10, 3))
         np.testing.assert_allclose(
             gaussian_score_batch(baseline, x), anomaly_score_batch(params, x), atol=1e-9

@@ -129,6 +129,17 @@ class TestScoreInputs:
         )
         assert not (out / "scores.csv").exists()
 
+    def test_model_trained_on_a_byte_order_mark_csv_scores_the_plain_csv(self, tmp_path):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "d.csv").read_bytes())
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(bom), "--out", str(run), *FAST]) == 0
+        out = tmp_path / "scores"
+        assert main(["score", "--model", str(run / "model.bin"), "--data", data,
+                     "--out", str(out)]) == 0
+        assert len((out / "scores.csv").read_text().splitlines()) == 101
+
     def test_swapped_columns_rejected(self, trained_model, tmp_path, capsys):
         data, model_path = trained_model
         rows = [line.split(",") for line in data.read_text().splitlines()]
@@ -328,6 +339,17 @@ class TestConfigFile:
         report = (out / "train_report.csv").read_text().splitlines()
         # flag --epochs 2 beats config epochs=3: header + 2 epochs + summary
         assert len(report) == 4
+
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        config = tmp_path / "run.cfg"
+        # the mark sits before the first key, which must still read as --epochs
+        config.write_text(f"epochs=2\ndata={data}\nhidden=16\nmasks=2\norderings=2\n",
+                          encoding="utf-8-sig")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        # header + 2 epochs + summary
+        assert len((out / "train_report.csv").read_text().splitlines()) == 4
 
     def test_missing_required_option(self, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path / "o")])

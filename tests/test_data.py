@@ -123,6 +123,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"unparseable label 'no\\nrmal' on line 5"):
             load_csv(str(path), "label")
 
+    @pytest.mark.parametrize("label_first", [False, True])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, label_first):
+        path = tmp_path / "d.csv"
+        header, row = ("label,x,y", "1,0.5,0.25") if label_first else ("x,y,label", "0.5,0.25,1")
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        table = read_csv(str(path), "label")
+        assert table.attribute_names == ("x", "y")
+        assert table.attributes.tolist() == [[0.5, 0.25]] and table.labels.tolist() == [1]
+
     def test_bad_label_value(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "label"], [[1.0, 2]])
         with pytest.raises(ValueError, match="label"):

@@ -117,6 +117,18 @@ class TestReports:
         assert (np.diff(pts[:, 2]) >= 0).all()
         assert pts[-1, 1] == 1.0 and pts[-1, 2] == 1.0
 
+    @pytest.mark.parametrize("anoms, norms", [([], [1.0]), ([1.0], [])], ids=["anoms", "norms"])
+    def test_roc_points_reject_an_empty_class(self, anoms, norms):
+        with pytest.raises(ValueError, match="both score lists must be non-empty"):
+            roc_points(anoms, norms)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_roc_points_reject_a_non_finite_score(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            roc_points([bad], [1.0])
+        with pytest.raises(ValueError, match="scores must be finite"):
+            roc_points([1.0], [0.0, bad])
+
     def test_roc_points_match_threshold_scan_with_ties(self):
         rng = np.random.default_rng(23)
         for _ in range(50):

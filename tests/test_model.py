@@ -170,7 +170,7 @@ class TestForwardConditionals:
 
     @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
     def test_single_b_out_column_moves_one_parameter(self, head):
-        # stored column d*P + j must reach attribute d's raw output j and nothing else
+        # b_out[j, d] must reach attribute d's raw output j and nothing else
         params = tiny_params(head=head, seed=9, n_attributes=4, n_hidden=8, n_components=3)
         x = np.random.default_rng(2).uniform(size=4)
         base = forward_conditionals(params, x, 1)
@@ -178,7 +178,7 @@ class TestForwardConditionals:
         for d in range(params.n_attributes):
             for j in range(params.head_width):
                 moved = params.copy()
-                moved.b_out[d * params.head_width + j] += 0.7
+                moved.b_out[j, d] += 0.7
                 cond = forward_conditionals(moved, x, 1)
                 if head == BERNOULLI:
                     changed = cond.bernoulli_probs != base.bernoulli_probs
@@ -213,8 +213,8 @@ class TestLogDensity:
             arr[...] = 0.0
         sigma = 0.2
         raw_scale = np.log(np.expm1(sigma - SIGMA_MIN))  # softplus inverse
-        params.b_out[1::3] = 0.5
-        params.b_out[2::3] = raw_scale
+        params.b_out[1] = 0.5
+        params.b_out[2] = raw_scale
         rng = np.random.default_rng(7)
         for x in rng.uniform(size=(5, 3)):
             expected = gaussian_logpdf(x, 0.5, sigma**2).sum()
@@ -631,9 +631,11 @@ class TestPersistence:
             "n_orderings": 2, "n_masks_per_ordering": 2, "mask_seed": 3,
             "has_norm_stats": False,
         }
-        arrays = dict(params.trainable())
+        # w_out and b_out in the file's column order, d * P + j
+        arrays = dict(params.trainable(), w_out=params.w_out.transpose(0, 2, 1).reshape(5, -1),
+                      b_out=params.b_out.T.ravel())
         if case == "truncated_w_out":
-            arrays["w_out"] = params.w_out[:, :-1]
+            arrays["w_out"] = arrays["w_out"][:, :-1]
             problem = "array w_out has shape (5, 17), expected (5, 18)"
         elif case == "unknown_head":
             header["head"] = "poisson"
@@ -738,6 +740,26 @@ class TestPersistence:
         for name in ("orderings", "hidden_degrees"):
             assert arrays[name].dtype == np.uint8
             np.testing.assert_array_equal(arrays[name], getattr(params.masks, name))
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    def test_output_columns_are_attribute_major_in_the_file(self, tmp_path, head):
+        # format 2's column d*P + j is raw output j of attribute d, whatever the in-memory layout
+        params = tiny_params(head=head, seed=7, n_attributes=4, n_hidden=6, n_components=3)
+        path = tmp_path / "model.bin"
+        header, arrays = self.saved_arrays(path, params)
+        p = params.head_width
+        for d in range(4):
+            for j in range(p):
+                np.testing.assert_array_equal(arrays["w_out"][:, d * p + j],
+                                              params.w_out[:, j, d])
+                assert arrays["b_out"][d * p + j] == params.b_out[j, d]
+                # a file that moves one b_out column moves only attribute d's output j
+                moved = dict(arrays, b_out=arrays["b_out"].copy())
+                moved["b_out"][d * p + j] += 0.7
+                self.write(path, header, moved)
+                loaded = load_model(str(path))[0]
+                assert np.argwhere(loaded.b_out != params.b_out).tolist() == [[j, d]]
+                assert loaded.w_out.tobytes() == params.w_out.tobytes()
 
     def test_loads_the_stored_recipe_not_the_seed(self, tmp_path):
         params = tiny_params(seed=5, n_attributes=4, n_hidden=6)
@@ -923,7 +945,7 @@ class TestTileWorkers:
         running, lock, tile_1_started = [0], threading.Lock(), threading.Event()
         members_forward = model._members_forward
 
-        def tile(params, weights, x, members, *out):
+        def tile(params, x, members, *out):
             with lock:
                 running[0] += 1
             try:
@@ -934,7 +956,7 @@ class TestTileWorkers:
                 if members.start == 1:
                     tile_1_started.set()
                 time.sleep(0.2 if members.start == 1 else 0.01)
-                return members_forward(params, weights, x, members, *out)
+                return members_forward(params, x, members, *out)
             finally:
                 with lock:
                     running[0] -= 1
