@@ -15,7 +15,7 @@ import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -32,17 +32,18 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 MODEL_FORMAT_VERSION = 2
 
 # Forward and backward run the ensemble a tile of members at a time, so a
-# tile's masked operands are built, used and dropped while in cache.  A tile
-# holds as many members as fit TILE_BYTES (see `members_per_tile`): two
-# float64 members at D=30, H=500 with the 3-component mixture head, four in a
-# float32 pass, and a whole small ensemble at once, which spares it the
-# per-tile call overhead.  Timed at D=30, H=500 and 100 members on a 2-core
-# x86-64 host, 2 float64 members per tile was within a few percent of the
-# fastest of 1, 2 and 4 on training steps, single rows and 512-row requests.
-# A scoring-only pass also runs ROW_TILE rows at a time, so its memory is
-# bounded by the tile; every row tile rebuilds the masked weights, so 64-row
-# tiles took 40% longer than 256.  A scoring tile counts activations over its
-# own rows, not ROW_TILE, so a request of few rows runs few, large tiles.
+# tile's masked operands are built, used and dropped while in cache.  A pass
+# spreads its members over as few tiles as hold what fits TILE_BYTES (see
+# `members_per_tile`): two float64 members at D=30, H=500 with the mixture
+# head, four in a float32 pass, and a whole small ensemble at once, which
+# spares it the per-tile call overhead.  Timed at D=30, H=500 and 100
+# members on a 2-core x86-64 host, 2 float64 members per tile was within a
+# few percent of the fastest of 1, 2 and 4 on training steps, single rows
+# and 512-row requests.  A scoring-only pass also runs ROW_TILE rows at a
+# time, so its memory is bounded by the tile; every row tile rebuilds the
+# masked weights, so 64-row tiles took 40% longer than 256.  A scoring tile
+# counts activations over its own rows, not ROW_TILE, so a request of few
+# rows runs few, large tiles.
 TILE_BYTES = 2 * 500 * (9 * 30 + 256) * 8
 ROW_TILE = 256
 
@@ -300,13 +301,6 @@ def tile_slices(n: int, size: int) -> list[slice]:
     return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def _even_tiles(n: int, size: int) -> list[slice]:
-    """As few consecutive slices of at most `size` as cover range(n), their sizes within one."""
-    count = -(-n // size)
-    bounds = [n * i // count for i in range(count + 1)]
-    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
 class TileWorkers(NamedTuple):
     """How many member tiles of a pass run at once, and what that was derived from."""
 
@@ -338,27 +332,16 @@ def tile_workers() -> TileWorkers:
     return TileWorkers(1, cores, cores, None)
 
 
-# One pool per process, like the BLAS threads it sits beside: made on first
-# use, never at import, and dropped in a forked child, which has none of the
-# parent's threads.  A pool replaced by one of another size is dropped too;
-# its idle threads exit once it is collected.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
+# One pool per process, made on first use, never at import, and dropped in a
+# forked child, which has none of the parent's threads; a pool replaced by one
+# of another size is dropped too, and its idle threads exit once collected.
+@lru_cache(maxsize=1)
+def _tile_pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="anodens-tile")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _tile_pool(threads: int) -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None or _pool[0] != threads:
-        _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="anodens-tile"))
-    return _pool[1]
+    os.register_at_fork(after_in_child=_tile_pool.cache_clear)
 
 
 def _map_tiles(task, tiles: list):
@@ -401,14 +384,14 @@ def _masks_activations(params: MadeParams, n_rows: int) -> bool:
 
 
 def members_per_tile(params: MadeParams, dtype, scoring_rows: int | None = None) -> int:
-    """Members whose tile arrays fit TILE_BYTES together; at least one.
+    """Members per tile: ceil(M / n) for the n tiles of at most `fit` members that cover M.
 
-    A member's share of a tile is its masked operand plus its hidden
-    activations, H per row.  A pass for backprop (`scoring_rows` None) masks
-    the output weights, H*P*D, and counts ROW_TILE rows.  A scoring row tile
-    counts its own `scoring_rows` rows, and its masked operand is either the
-    output weights or, where `_masks_activations` holds, the activations
-    under every attribute's output mask, D*H per row.
+    `fit` members' tile arrays fit TILE_BYTES together, at least one; a
+    member's share is its masked operand plus its hidden activations, H per
+    row.  A pass for backprop (`scoring_rows` None) masks the output weights,
+    H*P*D, over ROW_TILE rows; a scoring row tile counts its own rows and
+    masks the output weights or, where `_masks_activations` holds, the
+    activations under every attribute's output mask, D*H per row.
     """
     h, p, d = params.n_hidden, params.head_width, params.n_attributes
     if scoring_rows is None:
@@ -417,7 +400,9 @@ def members_per_tile(params: MadeParams, dtype, scoring_rows: int | None = None)
         member_items = h * (d + 1) * scoring_rows
     else:
         member_items = h * (p * d + scoring_rows)
-    return max(1, TILE_BYTES // (member_items * np.dtype(dtype).itemsize))
+    fit = max(1, TILE_BYTES // (member_items * np.dtype(dtype).itemsize))
+    n_members = params.masks.n_members
+    return -(-n_members // -(-n_members // fit))
 
 
 def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
@@ -538,18 +523,13 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
         raw = _members_forward(params, x_rows, members, out, w_out_by_attribute)
         _head(params, x_rows, raw, grad).sum(axis=-1, out=member_logdensity[members])
 
-    # a scoring row tile's member tiles are sized for its rows and evened out,
-    # so the tiles of a short request end together on the workers; a member's
-    # log-densities do not depend on its tile
+    # a scoring row tile's member tiles are sized for its rows; no log-density depends on them
     log_density = np.empty(b, dtype=x.dtype)
     for rows in [slice(0, b)] if for_backprop else tile_slices(b, ROW_TILE):
         n_rows = rows.stop - rows.start
-        if for_backprop:
-            member_tiles = tile_slices(n_members, members_per_tile(params, x.dtype))
-            w_out_by_attribute = None
-        else:
-            member_tiles = _even_tiles(n_members, members_per_tile(params, x.dtype, n_rows))
-            w_out_by_attribute = _attribute_major_w_out(params, n_rows)
+        scoring_rows = None if for_backprop else n_rows
+        member_tiles = tile_slices(n_members, members_per_tile(params, x.dtype, scoring_rows))
+        w_out_by_attribute = None if for_backprop else _attribute_major_w_out(params, n_rows)
         member_logdensity = np.empty((n_members, n_rows), dtype=x.dtype)
         task = partial(tile, x[rows], member_logdensity, w_out_by_attribute)
         for _ in _map_tiles(task, member_tiles):
@@ -647,6 +627,9 @@ def log_density_batch(params: MadeParams, x: np.ndarray) -> np.ndarray:
 
 
 def log_density(params: MadeParams, x: np.ndarray) -> float:
+    x = _validate_input(x, params.n_attributes)
+    if x.shape[0] != 1:
+        raise ValueError(f"expected a single instance, got {x.shape[0]} rows")
     return float(log_density_batch(params, x)[0])
 
 
@@ -656,7 +639,7 @@ def anomaly_score_batch(params: MadeParams, x: np.ndarray) -> np.ndarray:
 
 
 def anomaly_score(params: MadeParams, x: np.ndarray) -> float:
-    return float(anomaly_score_batch(params, x)[0])
+    return -log_density(params, x)
 
 
 # Every header key besides format_version: the type its value must have and,

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from anodens.baselines import fit_knn, knn_score_batch
 from anodens.cli import main
-from anodens.data import NormStats, load_csv
+from anodens.data import NormStats, dedup, load_csv, normalize_minmax, split
+from anodens.metrics import auc
 from anodens.model import BERNOULLI, anomaly_score_batch, load_model, save_model
 from anodens.synth import make_tabular_benchmark
 
@@ -47,6 +49,15 @@ class TestTrainScore:
         assert lines[0] == "index,label,score"
         assert len(lines) == 101
         assert (score_out / "roc.tsv").exists()
+
+    def test_components_reaches_the_saved_model(self, tmp_path):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        out = tmp_path / "run"
+        rc = main(["train", "--data", data, "--out", str(out), "--seed", "0",
+                   "--components", "1", *FAST])
+        assert rc == 0
+        params, _ = load_model(str(out / "model.bin"))
+        assert params.n_components == 1 and params.head_width == 3
 
     def test_sweep_writes_report(self, tmp_path):
         data = write_benchmark_csv(tmp_path / "d.csv")
@@ -267,6 +278,25 @@ class TestExperiment:
         # the lambda=0 model trained apart is the one the sweep over 0,10 trains
         lambda0 = [r["auc_per_method"]["lambda0"] for r in reports.values()]
         assert lambda0[0] == lambda0[1]
+
+    def test_knn_k_reaches_the_baseline(self, tmp_path):
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        out = tmp_path / "o"
+        rc = main(["experiment", "--data", data, "--out", str(out), "--seeds", "0",
+                   "--lambda-grid", "0", "--knn-k", "1", *FAST])
+        assert rc == 0
+        report = json.loads((out / "report_0.json").read_text())
+        # the experiment's split of seed 0, with the default anomaly counts
+        ds, _ = normalize_minmax(dedup(load_csv(data, "label")))
+        bundle = split(ds, 0)
+        test_normals = ds.attributes[bundle.test_normal]
+        test_anomalies = ds.attributes[bundle.test_anom]
+        aucs = {}
+        for k in (1, 5):
+            knn = fit_knn(ds.attributes[bundle.train_normal], k=k)
+            aucs[k] = auc(knn_score_batch(knn, test_anomalies), knn_score_batch(knn, test_normals))
+        assert aucs[1] != aucs[5]  # so the AUC tells the two apart
+        assert report["auc_per_method"]["knn"] == aucs[1]
 
     def test_diverging_optimiser_fails_with_single_line(self, tmp_path, capsys):
         data = write_benchmark_csv(tmp_path / "d.csv")

@@ -298,18 +298,20 @@ class TestLogDensity:
         "n_rows", [1, model.ROW_TILE - 1, model.ROW_TILE, model.ROW_TILE + 1]
     )
     def test_matches_member_loop_reference_at_tile_edges(self, head, n_rows):
-        # the paper's D and H, so a tile holds few members; one member more
-        # than the pass's first tile, so the members span two tiles
+        # the paper's D and H, so a tile holds few members; twice the tile of
+        # the paper's 100 members plus one, so the members span two tiles or more
         shape = dict(head=head, seed=31, n_attributes=30, n_hidden=500, n_components=3,
                      n_masks=1, noise=0.5)
-        one_member = tiny_params(n_orderings=1, **shape)
+        paper_ensemble = tiny_params(n_orderings=100, **shape)
         x = np.random.default_rng(n_rows).uniform(size=(n_rows, 30))
         if head == BERNOULLI:
             x = (x > 0.5).astype(float)
         for for_backprop in (True, False):
             scoring_rows = None if for_backprop else min(n_rows, model.ROW_TILE)
-            tile = model.members_per_tile(one_member, np.float64, scoring_rows)
-            params = tiny_params(n_orderings=tile + 1, **shape)
+            n_members = 2 * model.members_per_tile(paper_ensemble, np.float64, scoring_rows) + 1
+            params = tiny_params(n_orderings=n_members, **shape)
+            tile = model.members_per_tile(params, np.float64, scoring_rows)
+            assert len(model.tile_slices(n_members, tile)) >= 2
             np.testing.assert_allclose(
                 forward_ensemble(params, x, for_backprop).log_density,
                 reference_log_density(params, x), rtol=1e-12, atol=1e-12,
@@ -344,6 +346,16 @@ class TestLogDensity:
         with pytest.raises(ValueError, match="non-finite"):
             log_density(params, np.array([0.1, np.inf, 0.2]))
 
+    @pytest.mark.parametrize("n_rows", [0, 2])
+    def test_single_row_functions_reject_any_other_row_count(self, n_rows):
+        params = tiny_params(seed=0)
+        x = np.random.default_rng(0).uniform(size=(3, 3))
+        for single in (log_density, anomaly_score):
+            with pytest.raises(ValueError, match=f"^expected a single instance, got {n_rows} rows$"):
+                single(params, x[:n_rows])
+            assert single(params, x[:1]) == single(params, x[0])
+        assert log_density(params, x[0]) == log_density_batch(params, x)[0]
+
 
 class TestContractionOrders:
     """A scoring tile of at most P/2 rows masks its activations; any other tile its weights."""
@@ -363,7 +375,7 @@ class TestContractionOrders:
     @pytest.mark.parametrize("n_attributes", [3, 8, 30])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_activation_and_weight_paths_agree(self, monkeypatch, head, n_attributes, dtype):
-        # 7 members in scoring tiles of 2, 2 and 3, so the tiles differ in size
+        # 7 members in scoring tiles of 3, 3 and 1, so the tiles differ in size
         params = tiny_params(head=head, seed=50 + n_attributes, n_attributes=n_attributes,
                              n_hidden=48, n_components=3, n_orderings=7, n_masks=1, noise=0.5)
         monkeypatch.setattr(model, "members_per_tile", lambda *args: 3)
@@ -423,14 +435,16 @@ class TestContractionOrders:
         n_tiles = len(model.tile_slices(5, model.members_per_tile(params, dtype)))
         assert len(built) == 3 * n_tiles
 
-    @pytest.mark.parametrize("n, size", [(100, 33), (100, 2), (7, 3), (13, 7), (5, 5), (3, 8)])
-    def test_scoring_member_tiles_are_even(self, n, size):
-        tiles = model._even_tiles(n, size)
-        assert len(tiles) == len(model.tile_slices(n, size))
-        assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
-        assert tiles[0].start == 0 and tiles[-1].stop == n
-        sizes = {t.stop - t.start for t in tiles}
-        assert max(sizes) <= size and max(sizes) - min(sizes) <= 1
+    @pytest.mark.parametrize("n, fit", [(100, 33), (100, 2), (7, 3), (13, 7), (5, 5), (3, 8)])
+    def test_member_tiles_are_as_many_as_fit_gives_and_balanced(self, monkeypatch, n, fit):
+        params = tiny_params(seed=55, n_orderings=1, n_masks=n)
+        # TILE_BYTES holds `fit` float64 members of a pass for backprop
+        member_bytes = params.n_hidden * (params.head_width * 3 + model.ROW_TILE) * 8
+        monkeypatch.setattr(model, "TILE_BYTES", fit * member_bytes)
+        tiles = model.tile_slices(n, model.members_per_tile(params, np.float64))
+        count = len(model.tile_slices(n, fit))
+        assert len(tiles) == count
+        assert max(t.stop - t.start for t in tiles) == -(-n // count) <= fit
 
     @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
     @pytest.mark.parametrize("masks_activations", [True, False])
@@ -991,11 +1005,12 @@ class TestTileWorkers:
         assert running[0] == 0
 
     def test_importing_anodens_starts_no_thread(self):
-        code = "import threading, anodens; print(threading.active_count(), anodens.model._pool)"
+        code = ("import threading, anodens; "
+                "print(threading.active_count(), anodens.model._tile_pool.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anodens.__file__)))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert done.stdout.split() == ["1", "None"]
+        assert done.stdout.split() == ["1", "0"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
