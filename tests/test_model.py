@@ -439,7 +439,7 @@ class TestContractionOrders:
     def test_member_tiles_are_as_many_as_fit_gives_and_balanced(self, monkeypatch, n, fit):
         params = tiny_params(seed=55, n_orderings=1, n_masks=n)
         # TILE_BYTES holds `fit` float64 members of a pass for backprop
-        member_bytes = params.n_hidden * (params.head_width * 3 + model.ROW_TILE) * 8
+        member_bytes = params.n_hidden * (params.head_width * params.n_attributes + model.ROW_TILE) * 8
         monkeypatch.setattr(model, "TILE_BYTES", fit * member_bytes)
         tiles = model.tile_slices(n, model.members_per_tile(params, np.float64))
         count = len(model.tile_slices(n, fit))
