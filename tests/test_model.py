@@ -351,7 +351,8 @@ class TestLogDensity:
         params = tiny_params(seed=0)
         x = np.random.default_rng(0).uniform(size=(3, 3))
         for single in (log_density, anomaly_score):
-            with pytest.raises(ValueError, match=f"^expected a single instance, got {n_rows} rows$"):
+            message = f"^expected a single instance, got {n_rows} rows$"
+            with pytest.raises(ValueError, match=message):
                 single(params, x[:n_rows])
             assert single(params, x[:1]) == single(params, x[0])
         assert log_density(params, x[0]) == log_density_batch(params, x)[0]
@@ -439,7 +440,8 @@ class TestContractionOrders:
     def test_member_tiles_are_as_many_as_fit_gives_and_balanced(self, monkeypatch, n, fit):
         params = tiny_params(seed=55, n_orderings=1, n_masks=n)
         # TILE_BYTES holds `fit` float64 members of a pass for backprop
-        member_bytes = params.n_hidden * (params.head_width * params.n_attributes + model.ROW_TILE) * 8
+        h, p, d = params.n_hidden, params.head_width, params.n_attributes
+        member_bytes = h * (p * d + model.ROW_TILE) * 8
         monkeypatch.setattr(model, "TILE_BYTES", fit * member_bytes)
         tiles = model.tile_slices(n, model.members_per_tile(params, np.float64))
         count = len(model.tile_slices(n, fit))
