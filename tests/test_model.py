@@ -448,6 +448,22 @@ class TestContractionOrders:
         assert len(tiles) == count
         assert max(t.stop - t.start for t in tiles) == -(-n // count) <= fit
 
+    @pytest.mark.parametrize("n, size", [(100, 33), (100, 2)])
+    def test_scoring_member_tiles_are_even(self, monkeypatch, n, size):
+        params = tiny_params(seed=56, n_orderings=1, n_masks=n)
+        h, p, d = params.n_hidden, params.head_width, params.n_attributes
+        # one row masks its activations, a full row tile its output weights
+        for rows, member_items in ((1, h * (d + 1)),
+                                   (model.ROW_TILE, h * (p * d + model.ROW_TILE))):
+            assert model._masks_activations(params, rows) == (rows == 1)
+            monkeypatch.setattr(model, "TILE_BYTES", size * member_items * 8)
+            tiles = model.tile_slices(n, model.members_per_tile(params, np.float64, rows))
+            assert len(tiles) == len(model.tile_slices(n, size))
+            assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
+            assert tiles[0].start == 0 and tiles[-1].stop == n
+            sizes = {t.stop - t.start for t in tiles}
+            assert max(sizes) <= size and max(sizes) - min(sizes) <= 1
+
     @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
     @pytest.mark.parametrize("masks_activations", [True, False])
     def test_scores_do_not_depend_on_member_tiling(self, monkeypatch, head, masks_activations):
