@@ -13,9 +13,9 @@ from anodens import (
     ObjectiveConfig,
     auc,
     build_masks,
-    gradient,
     init_params,
     normal_loglik,
+    objective_and_gradient,
     objective_value,
     pairwise_regularizer,
     sigmoid,
@@ -49,7 +49,7 @@ print("(lambda=0 reduces the objective to plain maximum likelihood)")
 
 # --- gradient check -----------------------------------------------------------
 cfg = ObjectiveConfig(lam=10.0)
-grads = gradient(params, batch, cfg)
+_, grads = objective_and_gradient(params, batch, cfg)
 h = 1e-5
 worst = 0.0
 for name, arr in params.trainable().items():

@@ -48,7 +48,6 @@ from .model import (
 from .objective import (
     LabeledBatch,
     ObjectiveConfig,
-    gradient,
     normal_loglik,
     objective_and_gradient,
     objective_value,
@@ -56,7 +55,6 @@ from .objective import (
 )
 from .training import (
     AdamState,
-    EarlyStopper,
     SeedResult,
     SweepResult,
     TrainConfig,

@@ -102,12 +102,6 @@ def objective_value(params: MadeParams, batch: LabeledBatch, cfg: ObjectiveConfi
     return value
 
 
-def gradient(params: MadeParams, batch: LabeledBatch, cfg: ObjectiveConfig) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradient of objective_value w.r.t. every weight and bias."""
-    _, grads = _objective_with_optional_gradient(params, batch, cfg, want_gradient=True)
-    return grads
-
-
 def objective_and_gradient(
     params: MadeParams, batch: LabeledBatch, cfg: ObjectiveConfig
 ) -> tuple[float, dict[str, np.ndarray]]:

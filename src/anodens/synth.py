@@ -29,6 +29,8 @@ def make_scenario(
     """Generate an unnormalized two-attribute dataset for the named scenario."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     normals = rng.normal(loc=0.0, scale=1.0, size=(n_normal, 2))
 

@@ -115,30 +115,6 @@ def adam_step(
         trainable[name] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-class EarlyStopper:
-    """Track the best validation value; stop after `patience` epochs without
-    strict improvement.  Ties keep the earliest best epoch."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_value = -np.inf
-        self.best_epoch = 0
-        self.epochs_since_best = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        if value > self.best_value:
-            self.best_value = value
-            self.best_epoch = epoch
-            self.epochs_since_best = 0
-            return True
-        self.epochs_since_best += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.epochs_since_best >= self.patience
-
-
 def _float32_rows(rows: np.ndarray) -> np.ndarray:
     """Training rows cast once to float32, the dtype every training step computes in.
 
@@ -195,13 +171,10 @@ def train(
     val_anoms = np.asarray(ds.attributes[np.asarray(bundle.val_anom)], dtype=np.float64)
 
     params = init.copy()
-    best_params = params.copy()
     obj_cfg = ObjectiveConfig(lam=lam)
     state = AdamState.zeros_like(params.trainable())
-    stopper = EarlyStopper(cfg.patience)
     rng = np.random.default_rng(cfg.seed)
     records: list[EpochRecord] = []
-    stopped_early = False
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_normals))
@@ -217,20 +190,20 @@ def train(
             anomaly_score_batch(params, val_normals),
         )
         _check_finite(lam, epoch, objective, val_scores, cfg.learning_rate)
-        val_auc = auc(*val_scores)
-        records.append(EpochRecord(epoch, objective, val_auc))
-        if stopper.update(epoch, val_auc):
+        records.append(EpochRecord(epoch, objective, auc(*val_scores)))
+        # max keeps the first of equal values, so ties keep the earliest epoch
+        best = max(records, key=lambda rec: rec.val_auc)
+        if best is records[-1]:
             best_params = params.copy()
-        if stopper.should_stop:
-            stopped_early = True
+        elif epoch - best.epoch >= cfg.patience:
             break
 
     report = TrainReport(
         lam=lam,
         epochs=records,
-        best_epoch=stopper.best_epoch,
-        best_val_auc=stopper.best_value,
-        stopped_early=stopped_early,
+        best_epoch=best.epoch,
+        best_val_auc=best.val_auc,
+        stopped_early=epoch - best.epoch >= cfg.patience,
         wall_time=time.perf_counter() - started,
     )
     return best_params, report
@@ -254,17 +227,13 @@ def sweep_lambda(
     """
     if not cfg.lambda_grid:
         raise ValueError("lambda grid must be non-empty")
+    grid = sorted(set(cfg.lambda_grid))
     reports: dict[float, TrainReport] = {}
     models: dict[float, MadeParams] = {}
-    best_lambda = None
-    best_auc = -np.inf
-    for lam in sorted(set(cfg.lambda_grid)):
-        model, report = train(init, ds, bundle, cfg, lam)
-        reports[lam] = report
-        models[lam] = model
-        if report.best_val_auc > best_auc:
-            best_auc = report.best_val_auc
-            best_lambda = lam
+    for lam in grid:
+        models[lam], reports[lam] = train(init, ds, bundle, cfg, lam)
+    # max keeps the first of equal values, so ties keep the smaller weight
+    best_lambda = max(grid, key=lambda lam: reports[lam].best_val_auc)
     return SweepResult(
         best_params=models[best_lambda],
         best_lambda=best_lambda,
@@ -291,6 +260,8 @@ def seeded_setup(
     1000+seed, the initial weights 2000+seed and the epoch shuffles seed.
     `train_options` are the other TrainConfig fields.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     bundle = split(ds, seed, train_anoms, val_anoms)
     mask_set = build_masks(ds.n_attributes, hidden, orderings, masks, 1000 + seed)
     head = choose_head(ds.attribute_kinds)

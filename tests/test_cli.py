@@ -354,6 +354,13 @@ class TestSynthCommand:
         with pytest.raises(SystemExit):
             main(["synth", "--scenario", "bogus", "--out", str(tmp_path)])
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main(["synth", "--scenario", "both", "--seed", "-1", "--out", str(out), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not (out / "dataset.csv").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -472,6 +479,7 @@ class TestConfigFile:
         (["--lr", "nan"], "learning rate must be finite, got nan"),
         (["--patience", "0"], "patience must be at least 1"),
         (["--train-anoms", "-1"], "n_train_anom must be non-negative, got -1"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
     ],
 )
 def test_out_of_range_training_option_rejected(tmp_path, capsys, flags, message):

@@ -31,7 +31,7 @@ from anodens.model import (
     log_density_batch,
     save_model,
 )
-from anodens.objective import LabeledBatch, ObjectiveConfig, gradient, objective_and_gradient
+from anodens.objective import LabeledBatch, ObjectiveConfig, objective_and_gradient
 
 from helpers import (
     assert_same_model,
@@ -563,7 +563,8 @@ class TestComputeDtype:
             assert log_density_batch(params, rows).dtype == np.float64
         cache = forward_ensemble(params, x)
         assert all(arr.dtype == np.float64 for arr in vars(cache).values() if arr is not None)
-        grads = gradient(params, LabeledBatch(x[:7], x[7:]), ObjectiveConfig(lam=10.0))
+        _, grads = objective_and_gradient(params, LabeledBatch(x[:7], x[7:]),
+                                          ObjectiveConfig(lam=10.0))
         assert all(grad.dtype == np.float64 for grad in grads.values())
 
     def test_sigmoid_keeps_float32_and_returns_a_float_for_a_scalar(self):
@@ -960,7 +961,8 @@ class TestTileWorkers:
                 kept = [arr for arr in vars(forward_ensemble(params, x)).values()
                         if arr is not None]
                 results[workers] = [log_density_batch(params, x), np.float64(value),
-                                    *grads.values(), *gradient(params, batch, cfg).values(),
+                                    *grads.values(),
+                                    *objective_and_gradient(params, batch, cfg)[1].values(),
                                     *kept]
                 if workers > 1:
                     assert any(name.startswith("anodens-tile") for name in tile_threads)
@@ -1029,6 +1031,20 @@ class TestTileWorkers:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.split() == ["1", "0"]
+
+    def test_small_shapes_match_across_blas_thread_counts(self):
+        # tools/parity.py's D in {3, 8} passes: 2 shapes x 2 heads x 2 dtypes x 26 arrays
+        parity = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "parity.py")
+        code = ("import runpy, sys; parity = runpy.run_path(sys.argv[1]); "
+                "print(*parity['pass_lines'](parity['SHAPES'][:2]), sep='\\n')")
+        outputs = [
+            subprocess.run([sys.executable, "-c", code, parity],
+                           env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, text=True, timeout=120, check=True).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0].splitlines()) == 208
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")

@@ -15,7 +15,6 @@ from anodens.model import (
 from anodens.objective import (
     LabeledBatch,
     ObjectiveConfig,
-    gradient,
     normal_loglik,
     objective_and_gradient,
     objective_value,
@@ -203,9 +202,8 @@ class TestGradient:
             batch = random_batch(head, seed)
             cfg = ObjectiveConfig(lam=lam)
             value = objective_value(params, batch, cfg)
-            worst = max_rel_err(
-                gradient(params, batch, cfg), fd_gradient(params, batch, cfg), value
-            )
+            _, grads = objective_and_gradient(params, batch, cfg)
+            worst = max_rel_err(grads, fd_gradient(params, batch, cfg), value)
             assert worst <= 1e-4
 
     @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
@@ -225,7 +223,7 @@ class TestGradient:
             )
             value64 = objective_value(params, batch, cfg)
             assert abs(value32 - value64) <= 1e-5 * abs(value64)
-            for name, grad64 in gradient(params, batch, cfg).items():
+            for name, grad64 in objective_and_gradient(params, batch, cfg)[1].items():
                 assert grads32[name].dtype == np.float64
                 scale = np.abs(grad64).max()
                 assert np.abs(grads32[name] - grad64).max() <= 1e-4 * scale, name
@@ -233,8 +231,8 @@ class TestGradient:
     def test_lambda_zero_is_pure_loglik_gradient_bitwise(self):
         params = tiny_params(seed=10, noise=0.5)
         batch = random_batch(GAUSSIAN_MIXTURE, seed=10)
-        with_anoms = gradient(params, batch, ObjectiveConfig(lam=0.0))
-        without = gradient(
+        _, with_anoms = objective_and_gradient(params, batch, ObjectiveConfig(lam=0.0))
+        _, without = objective_and_gradient(
             params, LabeledBatch(batch.normals), ObjectiveConfig(lam=123.0)
         )
         for name in with_anoms:
@@ -243,9 +241,10 @@ class TestGradient:
     def test_doubling_lambda_doubles_regularizer_gradient(self):
         params = tiny_params(seed=11, noise=0.5)
         batch = random_batch(GAUSSIAN_MIXTURE, seed=11)
-        g0 = gradient(params, batch, ObjectiveConfig(lam=0.0))
-        g1 = gradient(params, batch, ObjectiveConfig(lam=2.5))
-        g2 = gradient(params, batch, ObjectiveConfig(lam=5.0))
+        g0, g1, g2 = (
+            objective_and_gradient(params, batch, ObjectiveConfig(lam=lam))[1]
+            for lam in (0.0, 2.5, 5.0)
+        )
         for name in g0:
             lhs = g2[name] - g0[name]
             rhs = 2.0 * (g1[name] - g0[name])
@@ -257,14 +256,14 @@ class TestGradient:
         cfg = ObjectiveConfig(lam=3.0)
         value, grads = objective_and_gradient(params, batch, cfg)
         assert value == objective_value(params, batch, cfg)
-        lone = gradient(params, batch, cfg)
+        _, again = objective_and_gradient(params, batch, cfg)
         for name in grads:
-            np.testing.assert_array_equal(grads[name], lone[name])
+            np.testing.assert_array_equal(grads[name], again[name])
 
     def test_masked_weights_have_zero_gradient(self):
         params = tiny_params(seed=13)
         batch = random_batch(GAUSSIAN_MIXTURE, seed=13)
-        grads = gradient(params, batch, ObjectiveConfig(lam=1.0))
+        _, grads = objective_and_gradient(params, batch, ObjectiveConfig(lam=1.0))
         # a weight masked out in every member cannot influence the objective
         all_in = params.masks.input_masks.max(axis=0)
         assert np.array_equal(grads["w_in"][all_in == 0], np.zeros((all_in == 0).sum()))

@@ -15,7 +15,6 @@ from anodens.objective import normal_loglik, objective_and_gradient
 from anodens.synth import make_scenario
 from anodens.training import (
     AdamState,
-    EarlyStopper,
     TrainConfig,
     TrainReport,
     adam_step,
@@ -84,23 +83,32 @@ class TestAdamStep:
             adam_step(trainable, {"p": np.zeros(2)}, state, cfg)
 
 
-class TestEarlyStopper:
-    def test_peak_then_decline_with_patience_one(self):
-        stopper = EarlyStopper(patience=1)
-        assert stopper.update(1, 0.5)
-        assert not stopper.should_stop
-        assert stopper.update(2, 0.9)
-        assert not stopper.should_stop
-        assert not stopper.update(3, 0.8)
-        assert stopper.should_stop  # stops by epoch 4
-        assert stopper.best_epoch == 2
-        assert stopper.best_value == 0.9
+def scripted_train(monkeypatch, ds, bundle, aucs, **kw):
+    """train with validation AUCs read from `aucs`, one per epoch."""
+    scripted = iter(aucs)
+    monkeypatch.setattr(training_module, "auc", lambda *scores: next(scripted))
+    return train(fresh_init(ds), ds, bundle, quick_cfg(**kw), 0.0)
 
-    def test_ties_keep_earliest(self):
-        stopper = EarlyStopper(patience=5)
-        stopper.update(1, 0.7)
-        stopper.update(2, 0.7)
-        assert stopper.best_epoch == 1
+
+class TestEarlyStopping:
+    def test_peak_then_decline_with_patience_one(self, scenario_data, monkeypatch):
+        ds, bundle = scenario_data
+        params, report = scripted_train(
+            monkeypatch, ds, bundle, [0.5, 0.9, 0.8], patience=1, max_epochs=10
+        )
+        assert [rec.epoch for rec in report.epochs] == [1, 2, 3]
+        assert (report.best_epoch, report.best_val_auc, report.stopped_early) == (2, 0.9, True)
+        at_best, _ = scripted_train(monkeypatch, ds, bundle, [0.5, 0.9], max_epochs=2)
+        assert_same_model(params, at_best)
+
+    def test_ties_keep_earliest(self, scenario_data, monkeypatch):
+        ds, bundle = scenario_data
+        params, report = scripted_train(
+            monkeypatch, ds, bundle, [0.7, 0.7], patience=5, max_epochs=2
+        )
+        assert (report.best_epoch, report.best_val_auc, report.stopped_early) == (1, 0.7, False)
+        first, _ = scripted_train(monkeypatch, ds, bundle, [0.7], max_epochs=1)
+        assert_same_model(params, first)
 
 
 class TestTrain:

@@ -14,7 +14,11 @@ paper's H=500 with 10 orderings x 10 masks).  For each case it hashes
 `log_density_batch` at several row counts, a single-row `anomaly_score`,
 `objective_and_gradient`'s value and gradients at lambda 0 and 10 on 64
 normals and 3 anomalies, and the arrays of a 67-row `forward_ensemble` pass
-for backprop.  Needs only numpy; takes a few seconds.
+for backprop.  Then, for D in {3, 8} and both heads, it runs a
+`sweep_lambda` over two weights with a patience short enough to stop early,
+and prints the chosen weight, each run's best epoch, best validation AUC and
+whether it stopped early, and hashes of each run's epoch records and
+returned weights.  Needs only numpy; takes a few seconds.
 """
 
 import hashlib
@@ -25,17 +29,24 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from anodens.data import BINARY, Dataset, normalize_minmax  # noqa: E402
 from anodens.model import (  # noqa: E402
     BERNOULLI, GAUSSIAN_MIXTURE, anomaly_score, build_masks, forward_ensemble, init_params,
     log_density_batch,
 )
 from anodens.objective import LabeledBatch, ObjectiveConfig, objective_and_gradient  # noqa: E402
+from anodens.synth import make_tabular_benchmark  # noqa: E402
+from anodens.training import seeded_setup, sweep_lambda  # noqa: E402
 
 # (D, H, orderings, masks per ordering)
 SHAPES = [(3, 16, 2, 2), (8, 64, 4, 4), (30, 500, 10, 10)]
 SCORE_ROWS = [1, 2, 3, 4, 5, 33, 67, 257, 300]
 LAMBDAS = [0.0, 10.0]
 NORMALS, ANOMALIES = 64, 3
+# the training runs: their shapes, and options that stop some runs early
+TRAIN_SHAPES = SHAPES[:2]
+TRAIN_OPTIONS = dict(max_epochs=40, batch_size=16, patience=4, learning_rate=3e-3,
+                     lambda_grid=(0.0, 10.0))
 
 
 def digest(a) -> str:
@@ -71,13 +82,47 @@ def case_lines(head: str, dtype, shape: tuple):
         yield f"cache B={NORMALS + ANOMALIES} {name}", arr
 
 
-def main() -> None:
-    for d_shape in SHAPES:
+def pass_lines(shapes):
+    for d_shape in shapes:
         for head in (GAUSSIAN_MIXTURE, BERNOULLI):
             for dtype in (np.float64, np.float32):
                 case = f"{head} {np.dtype(dtype).name} D={d_shape[0]} H={d_shape[1]}"
                 for what, arr in case_lines(head, dtype, d_shape):
-                    print(f"{case} {what} {digest(arr)}", flush=True)
+                    yield f"{case} {what} {digest(arr)}"
+
+
+def sweep_lines(head: str, shape: tuple):
+    d, h, orderings, masks = shape
+    ds, _ = normalize_minmax(make_tabular_benchmark(d, n_normal=160, n_anomaly=24, n_attributes=d))
+    if head == BERNOULLI:
+        ds = Dataset((ds.attributes > 0.5).astype(float), ds.labels, ds.attribute_names,
+                     (BINARY,) * d)
+    bundle, init, cfg = seeded_setup(ds, d, hidden=h, orderings=orderings, masks=masks,
+                                     **TRAIN_OPTIONS)
+    result = sweep_lambda(init, ds, bundle, cfg)
+    yield f"best_lambda={result.best_lambda!r}"
+    for lam, report in result.reports.items():
+        yield (f"lambda={lam:g} best_epoch={report.best_epoch} "
+               f"best_val_auc={report.best_val_auc!r} stopped_early={report.stopped_early}")
+        records = [(rec.epoch, rec.objective, rec.val_auc) for rec in report.epochs]
+        yield f"lambda={lam:g} epochs={len(records)} {digest(np.array(records))}"
+        for name, arr in result.models[lam].trainable().items():
+            yield f"lambda={lam:g} params {name} {digest(arr)}"
+
+
+def training_lines(shapes):
+    for d_shape in shapes:
+        for head in (GAUSSIAN_MIXTURE, BERNOULLI):
+            case = f"sweep {head} D={d_shape[0]} H={d_shape[1]}"
+            for line in sweep_lines(head, d_shape):
+                yield f"{case} {line}"
+
+
+def main() -> None:
+    for line in pass_lines(SHAPES):
+        print(line, flush=True)
+    for line in training_lines(TRAIN_SHAPES):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
