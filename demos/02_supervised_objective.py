@@ -14,7 +14,6 @@ from anodens import (
     auc,
     build_masks,
     init_params,
-    normal_loglik,
     objective_and_gradient,
     objective_value,
     pairwise_regularizer,
@@ -44,7 +43,8 @@ batch = LabeledBatch(rng.uniform(size=(6, 3)), rng.uniform(size=(2, 3)))
 for lam in (0.0, 1.0, 100.0):
     value = objective_value(params, batch, ObjectiveConfig(lam=lam))
     print(f"objective at lambda={lam:>5g}: {value:+.4f}")
-print(f"likelihood term alone:      {normal_loglik(params, batch.normals):+.4f}")
+likelihood = objective_value(params, LabeledBatch(batch.normals), ObjectiveConfig())
+print(f"likelihood term alone:      {likelihood:+.4f}")
 print("(lambda=0 reduces the objective to plain maximum likelihood)")
 
 # --- gradient check -----------------------------------------------------------

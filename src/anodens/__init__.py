@@ -48,7 +48,6 @@ from .model import (
 from .objective import (
     LabeledBatch,
     ObjectiveConfig,
-    normal_loglik,
     objective_and_gradient,
     objective_value,
     pairwise_regularizer,

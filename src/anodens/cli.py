@@ -47,6 +47,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     if not values:
         raise argparse.ArgumentTypeError("empty seed list")
+    if min(values) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {min(values)}")
     return values
 
 
@@ -79,13 +81,13 @@ def _config_tokens(path: str, options: set[str]) -> list[str]:
 
 
 def _output_dir(args, *required) -> Path:
-    """Check that the required options and --out are set, then create --out."""
+    """Check that the required options and --out are set, and return --out.
+
+    Each command creates --out just before its first write, so a failed run leaves none."""
     for name in (*required, "out"):
         if getattr(args, name) is None:
             raise ValueError(f"missing required option --{name}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out)
 
 
 def _prepare_dataset(args):
@@ -104,6 +106,7 @@ def cmd_train(args) -> int:
     ds, stats = _prepare_dataset(args)
     bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
     params, report = train(init, ds, bundle, cfg, args.lam)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(str(out / "model.bin"), params, stats)
     report.write_csv(str(out / "train_report.csv"))
     print(
@@ -118,6 +121,7 @@ def cmd_sweep(args) -> int:
     ds, stats = _prepare_dataset(args)
     bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
     result = sweep_lambda(init, ds, bundle, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(str(out / "model.bin"), result.best_params, stats)
     with open(out / "sweep_report.csv", "w", encoding="utf-8") as fh:
         fh.write("lambda,best_epoch,best_val_auc,chosen\n")
@@ -168,6 +172,7 @@ def cmd_score(args) -> int:
         _check_binary(attributes, table)
     scores = anomaly_score_batch(params, attributes)
     report = metrics.report_from_scores(np.arange(len(scores)), table.labels, scores)
+    out.mkdir(parents=True, exist_ok=True)
     report.write_csv(str(out / "scores.csv"))
     metrics.write_json_summary(str(out / "score_summary.json"), report.to_json_dict())
     if args.roc and report.auc is not None:
@@ -187,6 +192,7 @@ def cmd_experiment(args) -> int:
     per_method: dict[str, list[float]] = {}
     for seed in args.seeds:
         result = run_seed(ds, seed, **_seed_options(args))
+        out.mkdir(parents=True, exist_ok=True)
         aucs = result.aucs
         for method, value in aucs.items():
             per_method.setdefault(method, []).append(value)
@@ -220,13 +226,14 @@ def cmd_experiment(args) -> int:
 def cmd_synth(args) -> int:
     out = _output_dir(args, "scenario")
     raw = synth.make_scenario(args.scenario, args.seed)
+    ds = datamod.dedup(raw)
+    ds, stats = datamod.normalize_minmax(ds)
+    bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "dataset.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(raw.attribute_names) + ",label\n")
         for row, label in zip(raw.attributes, raw.labels):
             fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
-    ds = datamod.dedup(raw)
-    ds, stats = datamod.normalize_minmax(ds)
-    bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
     unsup_params, _ = train(init, ds, bundle, cfg, 0.0)
     sup_params, _ = train(init, ds, bundle, cfg, 1000.0)
     grid = synth.profile_grid()

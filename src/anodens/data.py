@@ -106,7 +106,6 @@ class SplitBundle:
     train_anom: np.ndarray
     val_anom: np.ndarray
     test_anom: np.ndarray
-    seed: int
 
 
 def _resolve_label_column(header: list[str], label_column) -> int:
@@ -273,5 +272,4 @@ def split(ds: Dataset, seed: int, n_train_anom: int = 3, n_val_anom: int = 3) ->
         train_anom=anomalies[:n_train_anom],
         val_anom=anomalies[n_train_anom : n_train_anom + n_val_anom],
         test_anom=anomalies[n_train_anom + n_val_anom :],
-        seed=seed,
     )

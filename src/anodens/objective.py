@@ -26,7 +26,7 @@ class ObjectiveConfig:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError("regularizer weight must be non-negative")
+            raise ValueError(f"regularizer weight must be non-negative, got {self.lam}")
         if not np.isfinite(self.lam):
             raise ValueError(f"regularizer weight must be finite, got {self.lam}")
 
@@ -49,11 +49,6 @@ class LabeledBatch:
     @property
     def n_anomalies(self) -> int:
         return self.anomalies.shape[0] if self.anomalies.size else 0
-
-
-def normal_loglik(params: MadeParams, normals: np.ndarray) -> float:
-    """Mean log-density of the given normal instances."""
-    return objective_value(params, LabeledBatch(normals), ObjectiveConfig())
 
 
 def pairwise_regularizer(
@@ -96,8 +91,8 @@ def _objective_with_optional_gradient(params, batch, cfg, want_gradient):
 
 
 def objective_value(params: MadeParams, batch: LabeledBatch, cfg: ObjectiveConfig) -> float:
-    """normal_loglik + lam * regularizer; reduces to the likelihood alone when
-    lam is zero or the batch holds no anomalies."""
+    """Mean log-density of the normals + lam * regularizer; reduces to the
+    likelihood alone when lam is zero or the batch holds no anomalies."""
     value, _ = _objective_with_optional_gradient(params, batch, cfg, want_gradient=False)
     return value
 

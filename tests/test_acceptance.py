@@ -21,7 +21,6 @@ from anodens.model import (
 from anodens.objective import (
     LabeledBatch,
     ObjectiveConfig,
-    normal_loglik,
     objective_and_gradient,
     objective_value,
     pairwise_regularizer,
@@ -184,8 +183,8 @@ def test_criterion_6_lambda_zero_reduction():
 
     params = tiny_params(seed=21, noise=0.4)
     batch = random_batch(GAUSSIAN_MIXTURE, seed=21)
-    assert objective_value(params, batch, ObjectiveConfig(lam=0.0)) == normal_loglik(
-        params, batch.normals
+    assert objective_value(params, batch, ObjectiveConfig(lam=0.0)) == objective_value(
+        params, LabeledBatch(batch.normals), ObjectiveConfig()
     )
     _, with_anoms = objective_and_gradient(params, batch, ObjectiveConfig(lam=0.0))
     _, pure = objective_and_gradient(params, LabeledBatch(batch.normals), ObjectiveConfig(lam=7.0))

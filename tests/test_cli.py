@@ -361,6 +361,13 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not (out / "dataset.csv").exists()
 
+    def test_out_of_range_option_writes_no_dataset(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main(["synth", "--scenario", "both", "--lr", "nan", "--out", str(out), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: learning rate must be finite, got nan\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -480,6 +487,7 @@ class TestConfigFile:
         (["--patience", "0"], "patience must be at least 1"),
         (["--train-anoms", "-1"], "n_train_anom must be non-negative, got -1"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--lambda", "-1"], "regularizer weight must be non-negative, got -1.0"),
     ],
 )
 def test_out_of_range_training_option_rejected(tmp_path, capsys, flags, message):
@@ -488,15 +496,40 @@ def test_out_of_range_training_option_rejected(tmp_path, capsys, flags, message)
     rc = main(["train", "--data", data, "--out", str(out), *FAST, *flags])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "model.bin").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", ["3..1", ","])
-def test_empty_seed_list_rejected(tmp_path, capsys, seeds):
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["sweep", "--lambda-grid", "0,-1"], "regularizer weight must be non-negative, got -1.0"),
+        (["score", "--model", "missing.bin"], "No such file or directory: 'missing.bin'"),
+    ],
+)
+def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, command,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    data = write_benchmark_csv(tmp_path / "d.csv")
+    out = tmp_path / "o"
+    rc = main([*command, "--data", data, "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        pytest.param("3..1", "empty seed list", id="3..1"),
+        pytest.param(",", "empty seed list", id=","),
+        pytest.param("0,-1", "seed must be non-negative, got -1", id="0,-1"),
+    ],
+)
+def test_empty_seed_list_rejected(tmp_path, capsys, seeds, message):
     data = write_benchmark_csv(tmp_path / "d.csv")
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--data", data, "--out", str(out), "--seeds", seeds, *FAST])
     assert exc.value.code == 2
-    assert "argument --seeds: empty seed list" in capsys.readouterr().err
+    assert f"argument --seeds: {message}" in capsys.readouterr().err
     assert not out.exists()

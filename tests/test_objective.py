@@ -15,7 +15,6 @@ from anodens.model import (
 from anodens.objective import (
     LabeledBatch,
     ObjectiveConfig,
-    normal_loglik,
     objective_and_gradient,
     objective_value,
     pairwise_regularizer,
@@ -61,16 +60,20 @@ class TestSigmoid:
 
 
 class TestNormalLoglik:
+    """The objective at lambda 0: the mean log-density of the normals."""
+
     def test_single_instance_is_its_log_density(self):
         params = tiny_params(seed=1)
         x = np.random.default_rng(0).uniform(size=3)
-        assert normal_loglik(params, x[None, :]) == log_density(params, x)
+        value = objective_value(params, LabeledBatch(x[None, :]), ObjectiveConfig())
+        assert value == log_density(params, x)
 
     def test_batch_of_five_is_the_mean(self):
         params = tiny_params(seed=2)
         xs = np.random.default_rng(1).uniform(size=(5, 3))
         singles = [log_density(params, x) for x in xs]
-        assert normal_loglik(params, xs) == pytest.approx(np.mean(singles), abs=1e-12)
+        value = objective_value(params, LabeledBatch(xs), ObjectiveConfig())
+        assert value == pytest.approx(np.mean(singles), abs=1e-12)
 
     def test_batch_of_sixteen_against_loop(self):
         params = tiny_params(seed=3, noise=0.6)
@@ -78,12 +81,13 @@ class TestNormalLoglik:
         total = 0.0
         for x in xs:
             total += log_density(params, x)
-        assert normal_loglik(params, xs) == pytest.approx(total / 16.0, abs=1e-12)
+        value = objective_value(params, LabeledBatch(xs), ObjectiveConfig())
+        assert value == pytest.approx(total / 16.0, abs=1e-12)
 
     def test_empty_rejected(self):
         params = tiny_params(seed=0)
         with pytest.raises(ValueError):
-            normal_loglik(params, np.empty((0, 3)))
+            objective_value(params, LabeledBatch(np.empty((0, 3))), ObjectiveConfig())
 
 
 class TestPairwiseRegularizer:
@@ -143,14 +147,14 @@ class TestObjectiveValue:
         params = tiny_params(seed=8, noise=0.4)
         batch = random_batch(GAUSSIAN_MIXTURE, seed=8)
         value = objective_value(params, batch, ObjectiveConfig(lam=0.0))
-        assert value == normal_loglik(params, batch.normals)
+        assert value == objective_value(params, LabeledBatch(batch.normals), ObjectiveConfig())
 
     def test_no_anomalies_falls_back_to_loglik(self):
         params = tiny_params(seed=9)
         normals = np.random.default_rng(0).uniform(size=(5, 3))
         batch = LabeledBatch(normals)
         value = objective_value(params, batch, ObjectiveConfig(lam=10.0))
-        assert value == normal_loglik(params, normals)
+        assert value == objective_value(params, batch, ObjectiveConfig())
 
     def test_composition_with_known_terms(self):
         # uniform Bernoulli model: every instance has log-density D*log(1/2),
@@ -168,7 +172,7 @@ class TestObjectiveValue:
         assert value == pytest.approx(8 * np.log(0.5) + 10.0 * 0.5, abs=1e-12)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="regularizer weight must be non-negative, got -1.0"):
             ObjectiveConfig(lam=-1.0)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
@@ -189,7 +193,7 @@ class TestObjectiveValue:
                 log_density_batch(params, batch.normals),
                 log_density_batch(params, batch.anomalies),
             )
-            ranking = value - normal_loglik(params, batch.normals)
+            ranking = value - objective_value(params, batch, ObjectiveConfig())
             assert abs(ranking - lam * reg) <= 1e-12 * max(1.0, abs(value))
 
 

@@ -18,17 +18,23 @@ for backprop.  Then, for D in {3, 8} and both heads, it runs a
 `sweep_lambda` over two weights with a patience short enough to stop early,
 and prints the chosen weight, each run's best epoch, best validation AUC and
 whether it stopped early, and hashes of each run's epoch records and
-returned weights.  Needs only numpy; takes a few seconds.
+returned weights.  Last, it runs `train`, `sweep`, `experiment`, `score` and
+`synth` through the command line's `main` on a small CSV, and hashes each
+file they write.  Needs only numpy; takes a few seconds.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from anodens.cli import main as cli_main  # noqa: E402
 from anodens.data import BINARY, Dataset, normalize_minmax  # noqa: E402
 from anodens.model import (  # noqa: E402
     BERNOULLI, GAUSSIAN_MIXTURE, anomaly_score, build_masks, forward_ensemble, init_params,
@@ -47,6 +53,10 @@ NORMALS, ANOMALIES = 64, 3
 TRAIN_SHAPES = SHAPES[:2]
 TRAIN_OPTIONS = dict(max_epochs=40, batch_size=16, patience=4, learning_rate=3e-3,
                      lambda_grid=(0.0, 10.0))
+# the command-line runs: flags shared by every command that trains
+CLI_FIT = ["--hidden", "16", "--masks", "2", "--orderings", "2", "--patience", "4",
+           "--batch-size", "16", "--lr", "0.003", "--epochs", "40"]
+CLI_GRID = ["--lambda-grid", "0,1,10,100"]
 
 
 def digest(a) -> str:
@@ -118,10 +128,42 @@ def training_lines(shapes):
                 yield f"{case} {line}"
 
 
+def cli_lines():
+    """Run each command into a temporary directory and hash every file it writes."""
+    ds = make_tabular_benchmark(0, n_normal=200, n_anomaly=40, n_attributes=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data = str(root / "data.csv")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(",".join(ds.attribute_names) + ",label\n")
+            for row, label in zip(ds.attributes, ds.labels):
+                fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+        runs = {
+            "train": ["train", "--data", data, "--lambda", "10", *CLI_FIT, *CLI_GRID],
+            "sweep": ["sweep", "--data", data, *CLI_FIT, *CLI_GRID],
+            "experiment": ["experiment", "--data", data, "--seeds", "0..2", *CLI_FIT, *CLI_GRID],
+            "score": ["score", "--model", str(root / "sweep" / "model.bin"), "--data", data,
+                      "--roc"],
+            "synth": ["synth", "--scenario", "both", "--seed", "3", *CLI_FIT],
+        }
+        for name, argv in runs.items():
+            out = root / name
+            # the commands print their output directory, which differs between runs
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli_main([*argv, "--out", str(out)])
+            if status != 0:
+                raise SystemExit(f"anodens {name} exited with {status}")
+            for path in sorted(out.iterdir()):
+                file_hash = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                yield f"cli {name} {path.name} {file_hash}"
+
+
 def main() -> None:
     for line in pass_lines(SHAPES):
         print(line, flush=True)
     for line in training_lines(TRAIN_SHAPES):
+        print(line, flush=True)
+    for line in cli_lines():
         print(line, flush=True)
 
 
