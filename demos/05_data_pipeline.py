@@ -22,6 +22,7 @@ from anodens import (
     normalize_minmax,
     save_model,
     split,
+    write_csv,
 )
 from anodens.synth import make_tabular_benchmark
 from anodens.training import TrainConfig, train
@@ -31,10 +32,7 @@ csv_path = os.path.join(workdir, "bench.csv")
 
 # --- write a CSV, load it back ------------------------------------------------
 raw = make_tabular_benchmark(seed=7, n_normal=300, n_anomaly=60, n_attributes=5)
-with open(csv_path, "w", encoding="utf-8") as fh:
-    fh.write(",".join(raw.attribute_names) + ",label\n")
-    for row, label in zip(raw.attributes, raw.labels):
-        fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+write_csv(csv_path, raw)
 
 ds = load_csv(csv_path, label_column="label")
 print(f"loaded {ds.n_instances} rows, {ds.n_attributes} attributes, "

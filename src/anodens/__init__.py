@@ -24,6 +24,7 @@ from .data import (
     load_csv,
     normalize_minmax,
     split,
+    write_csv,
 )
 from .metrics import ScoreReport, auc, report_from_scores, roc_points
 from .model import (

@@ -49,6 +49,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("empty seed list")
     if min(values) < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative, got {min(values)}")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"seed list {text!r} repeats a seed")
     return values
 
 
@@ -230,10 +232,7 @@ def cmd_synth(args) -> int:
     ds, stats = datamod.normalize_minmax(ds)
     bundle, init, cfg = seeded_setup(ds, args.seed, **_seed_options(args))
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "dataset.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(raw.attribute_names) + ",label\n")
-        for row, label in zip(raw.attributes, raw.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+    datamod.write_csv(str(out / "dataset.csv"), raw)
     unsup_params, _ = train(init, ds, bundle, cfg, 0.0)
     sup_params, _ = train(init, ds, bundle, cfg, 1000.0)
     grid = synth.profile_grid()
@@ -250,12 +249,14 @@ def cmd_synth(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     files = argparse.ArgumentParser(add_help=False)
     files.add_argument("--config", help="key=value file of flags without --; flags win")
-    files.add_argument("--data", help="CSV dataset path")
-    files.add_argument(
+    files.add_argument("--out", help="output directory")
+
+    inputs = argparse.ArgumentParser(add_help=False, parents=[files])
+    inputs.add_argument("--data", help="CSV dataset path")
+    inputs.add_argument(
         "--label", default="label",
         help=f"label column name or index; score also takes {NO_LABEL!r}, for data without one",
     )
-    files.add_argument("--out", help="output directory")
 
     fit = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     fit.add_argument("--epochs", dest="max_epochs", type=int, metavar="EPOCHS")
@@ -268,9 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--orderings", type=int)
     fit.add_argument("--train-anoms", type=int)
     fit.add_argument("--val-anoms", type=int)
-    fit.add_argument("--lambda-grid", type=_parse_grid)
 
-    seeded = argparse.ArgumentParser(add_help=False, parents=[files, fit])
+    grid = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    grid.add_argument("--lambda-grid", type=_parse_grid)
+
+    seeded = argparse.ArgumentParser(add_help=False, parents=[fit])
     seeded.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
@@ -280,23 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser(
-        "train", parents=[seeded], help="train a single model at a fixed lambda"
+        "train", parents=[inputs, seeded], help="train a single model at a fixed lambda"
     )
     p_train.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[seeded], help="train across the lambda grid, keep the best"
+        "sweep", parents=[inputs, seeded, grid], help="train across the lambda grid, keep the best"
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_score = sub.add_parser("score", parents=[files], help="score a CSV with a saved model")
+    p_score = sub.add_parser("score", parents=[inputs], help="score a CSV with a saved model")
     p_score.add_argument("--model", help="saved model file")
     p_score.add_argument("--roc", action="store_true", help="also emit ROC points TSV")
     p_score.set_defaults(func=cmd_score)
 
     p_exp = sub.add_parser(
-        "experiment", parents=[files, fit], help="multi-seed benchmark with baselines"
+        "experiment", parents=[inputs, fit, grid], help="multi-seed benchmark with baselines"
     )
     p_exp.add_argument(
         "--seeds", type=_parse_seeds, default=tuple(range(10)), help="e.g. 0..9 or 0,3,7"
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_experiment)
 
     p_synth = sub.add_parser(
-        "synth", parents=[seeded], help="generate and profile a synthetic scenario"
+        "synth", parents=[files, seeded], help="generate and profile a synthetic scenario"
     )
     p_synth.add_argument("--scenario", choices=synth.SCENARIOS)
     p_synth.set_defaults(func=cmd_synth)

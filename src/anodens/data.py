@@ -1,4 +1,4 @@
-"""Labeled tabular data: CSV loading, min-max normalization, dedup, seeded splits."""
+"""Labeled tabular data: CSV reading and writing, min-max normalization, dedup, seeded splits."""
 
 from __future__ import annotations
 
@@ -207,6 +207,16 @@ def load_csv(path: str, label_column) -> Dataset:
         for j in range(attributes.shape[1])
     )
     return Dataset(attributes, labels, names, kinds)
+
+
+def write_csv(path: str, ds: Dataset) -> None:
+    """Write the attribute columns, then a 0/1 `label` column, as a headered CSV;
+    each value is its repr, which `load_csv(path, "label")` reads back bit for bit."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow((*ds.attribute_names, "label"))
+        for row, label in zip(ds.attributes, ds.labels):
+            writer.writerow([*(repr(float(v)) for v in row), int(label)])
 
 
 def normalize_minmax(ds: Dataset) -> tuple[Dataset, NormStats]:

@@ -51,6 +51,11 @@ class LabeledBatch:
         return self.anomalies.shape[0] if self.anomalies.size else 0
 
 
+def _pair_gaps(ld_normals: np.ndarray, ld_anomalies: np.ndarray) -> np.ndarray:
+    """log p(normal) - log p(anomaly) for every pair, shape (n_anomalies, n_normals)."""
+    return ld_normals[None, :] - ld_anomalies[:, None]
+
+
 def pairwise_regularizer(
     logdens_normals: np.ndarray, logdens_anomalies: np.ndarray, transfer=sigmoid
 ) -> float:
@@ -64,8 +69,7 @@ def pairwise_regularizer(
     ld_a = np.asarray(logdens_anomalies, dtype=np.float64)
     if ld_n.size == 0 or ld_a.size == 0:
         raise ValueError("need at least one normal and one anomaly log-density")
-    gaps = ld_n[None, :] - ld_a[:, None]
-    return float(np.mean(transfer(gaps)))
+    return float(np.mean(transfer(_pair_gaps(ld_n, ld_a))))
 
 
 def _objective_with_optional_gradient(params, batch, cfg, want_gradient):
@@ -78,7 +82,7 @@ def _objective_with_optional_gradient(params, batch, cfg, want_gradient):
     value = float(ld_normals.mean())
     coeff = np.full(n_norm, 1.0 / n_norm)
     if supervised:
-        sig = sigmoid(ld_normals[None, :] - cache.log_density[n_norm:, None])  # (n_anom, n_norm)
+        sig = sigmoid(_pair_gaps(ld_normals, cache.log_density[n_norm:]))
         value += cfg.lam * float(sig.mean())
         pair_weight = cfg.lam / (n_anom * n_norm)
         slope = sig * (1.0 - sig)

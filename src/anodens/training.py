@@ -287,14 +287,15 @@ def run_seed(ds: Dataset, seed: int, *, knn_k: int = 5, **options) -> SeedResult
     training normals.
     """
     bundle, init, cfg = seeded_setup(ds, seed, **options)
+    # the baselines read only the split, so a bad knn_k fails before any training
+    train_normals = ds.attributes[bundle.train_normal]
+    gaussian = fit_gaussian(train_normals)
+    knn = fit_knn(train_normals, k=min(knn_k, len(train_normals)))
     sweep = sweep_lambda(init, ds, bundle, cfg)
     if 0.0 in sweep.models:
         lambda0_params = sweep.models[0.0]
     else:
         lambda0_params, _ = train(init, ds, bundle, cfg, 0.0)
-    train_normals = ds.attributes[bundle.train_normal]
-    gaussian = fit_gaussian(train_normals)
-    knn = fit_knn(train_normals, k=min(knn_k, len(train_normals)))
     test_idx = np.concatenate([bundle.test_normal, bundle.test_anom])
     test_x = ds.attributes[test_idx]
     scores = {

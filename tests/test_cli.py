@@ -1,14 +1,18 @@
+import argparse
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from anodens.baselines import fit_knn, knn_score_batch
-from anodens.cli import main
-from anodens.data import NormStats, dedup, load_csv, normalize_minmax, split
+from anodens.cli import SEED_OPTIONS, build_parser, main
+from anodens.data import NormStats, dedup, load_csv, normalize_minmax, split, write_csv
 from anodens.metrics import auc
 from anodens.model import BERNOULLI, anomaly_score_batch, load_model, save_model
 from anodens.synth import make_tabular_benchmark
+from anodens.training import TrainConfig, seeded_setup
 
 from helpers import tiny_params
 
@@ -21,10 +25,7 @@ FAST = [
 
 def write_benchmark_csv(path, seed=0, n_normal=80, n_anomaly=20):
     ds = make_tabular_benchmark(seed=seed, n_normal=n_normal, n_anomaly=n_anomaly, n_attributes=3)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(ds.attribute_names) + ",label\n")
-        for row, label in zip(ds.attributes, ds.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+    write_csv(str(path), ds)
     return str(path)
 
 
@@ -310,6 +311,20 @@ class TestExperiment:
         )
         assert not (out / "aggregate.csv").exists()
 
+    def test_out_of_range_knn_k_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def sweep_lambda(*args, **kwargs):
+            raise AssertionError("the sweep ran before knn_k was checked")
+
+        monkeypatch.setattr("anodens.training.sweep_lambda", sweep_lambda)
+        data = write_benchmark_csv(tmp_path / "d.csv")
+        out = tmp_path / "o"
+        rc = main(["experiment", "--data", data, "--out", str(out), "--seeds", "0",
+                   "--knn-k", "0", *FAST])
+        assert rc == 1
+        # the split of seed 0 keeps 80% of the 80 normals for training
+        assert capsys.readouterr().err == "error: k must lie in [1, 64], got 0\n"
+        assert not out.exists()
+
     def test_insufficient_anomalies_fails_with_single_line(self, tmp_path, capsys):
         data = write_benchmark_csv(tmp_path / "d.csv", n_normal=60, n_anomaly=5)
         rc = main(["experiment", "--data", data, "--out", str(tmp_path / "o"),
@@ -469,6 +484,16 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: config {config}: unknown option {flag}\n"
         assert not (out / "model.bin").exists()
 
+    def test_data_file_in_a_synth_config_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("data=x\n")
+        out = tmp_path / "s"
+        rc = main(["synth", "--config", str(config), "--scenario", "both",
+                   "--out", str(out), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config {config}: unknown option --data\n"
+        assert not out.exists()
+
     def test_malformed_value_fails_like_the_flag(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("epochs=abc\n")
@@ -523,6 +548,7 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, 
         pytest.param("3..1", "empty seed list", id="3..1"),
         pytest.param(",", "empty seed list", id=","),
         pytest.param("0,-1", "seed must be non-negative, got -1", id="0,-1"),
+        pytest.param("0,0", "seed list '0,0' repeats a seed", id="0,0"),
     ],
 )
 def test_empty_seed_list_rejected(tmp_path, capsys, seeds, message):
@@ -533,3 +559,38 @@ def test_empty_seed_list_rejected(tmp_path, capsys, seeds, message):
     assert exc.value.code == 2
     assert f"argument --seeds: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--data", "x"],
+        ["synth", "--label", "y"],
+        ["synth", "--lambda-grid", "1"],
+        ["train", "--lambda-grid", "1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_option_the_command_does_not_read_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_option_without_a_default_reaches_the_library():
+    """A flag left out of `SEED_OPTIONS` would be parsed and silently dropped."""
+    parser = build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subcommands.choices.items():
+        for action in sub._actions:
+            if action.default is argparse.SUPPRESS and "--help" not in action.option_strings:
+                assert action.dest in SEED_OPTIONS, (command, action.dest)
+    setup_options = {
+        name for name, p in inspect.signature(seeded_setup).parameters.items()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    config_fields = {field.name for field in dataclasses.fields(TrainConfig)}
+    assert set(SEED_OPTIONS) <= setup_options | config_fields | {"knn_k"}

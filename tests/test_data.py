@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anodens import data
 from anodens.data import (
     BINARY,
     CONTINUOUS,
@@ -152,6 +153,18 @@ class TestLoadCsv:
         labeled = read_csv(path, "label")
         assert labeled.labels.tolist() == [0, 1] and labeled.attribute_names == ("a",)
 
+    def test_written_dataset_reads_back_bit_for_bit(self, tmp_path):
+        values = [[0.1 + 0.2, -0.0], [5e-324, -1.797e308], [0.5, 1.0]]
+        ds = Dataset(values, [0, 1, 0], ("a", "b,c"), (CONTINUOUS, CONTINUOUS))
+        path = str(tmp_path / "d.csv")
+        data.write_csv(path, ds)
+        back = load_csv(path, "label")
+        # bytes, as array equality would not tell -0.0 from 0.0
+        assert back.attributes.tobytes() == ds.attributes.tobytes()
+        assert back.labels.tolist() == [0, 1, 0]
+        assert back.attribute_names == ("a", "b,c")
+
+
 class TestNormalize:
     def test_linear_map_endpoints(self):
         ds = Dataset(np.array([[2.0], [4.0], [6.0]]), [0, 0, 1], ("a",), (CONTINUOUS,))
@@ -217,12 +230,11 @@ class TestNormalize:
     @example(rows=[[-1e308], [0.0], [1e308]])
     @example(rows=[[-1.7e308, 0.0], [1.7e308, 1.0]])
     def test_csv_training_rows_map_into_unit_interval_exactly(self, rows):
-        names = [f"a{j}" for j in range(len(rows[0]))]
+        names = tuple(f"a{j}" for j in range(len(rows[0])))
+        labels = [i % 2 for i in range(len(rows))]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "d.csv")
-            # repr round-trips every finite float exactly through the CSV
-            write_csv(path, names + ["label"],
-                      [[repr(float(v)) for v in row] + [i % 2] for i, row in enumerate(rows)])
+            data.write_csv(path, Dataset(rows, labels, names, (CONTINUOUS,) * len(names)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 ds = dedup(load_csv(path, "label"))

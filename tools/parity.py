@@ -18,9 +18,10 @@ for backprop.  Then, for D in {3, 8} and both heads, it runs a
 `sweep_lambda` over two weights with a patience short enough to stop early,
 and prints the chosen weight, each run's best epoch, best validation AUC and
 whether it stopped early, and hashes of each run's epoch records and
-returned weights.  Last, it runs `train`, `sweep`, `experiment`, `score` and
-`synth` through the command line's `main` on a small CSV, and hashes each
-file they write.  Needs only numpy; takes a few seconds.
+returned weights.  Last, it writes a small CSV with `anodens.data.write_csv`,
+runs `train` (at one weight), `sweep` and `experiment` (over a weight grid),
+`score` and `synth` through the command line's `main`, and hashes each file
+they write.  Needs only numpy; takes a few seconds.
 """
 
 import contextlib
@@ -35,7 +36,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from anodens.cli import main as cli_main  # noqa: E402
-from anodens.data import BINARY, Dataset, normalize_minmax  # noqa: E402
+from anodens.data import BINARY, Dataset, normalize_minmax, write_csv  # noqa: E402
 from anodens.model import (  # noqa: E402
     BERNOULLI, GAUSSIAN_MIXTURE, anomaly_score, build_masks, forward_ensemble, init_params,
     log_density_batch,
@@ -53,7 +54,8 @@ NORMALS, ANOMALIES = 64, 3
 TRAIN_SHAPES = SHAPES[:2]
 TRAIN_OPTIONS = dict(max_epochs=40, batch_size=16, patience=4, learning_rate=3e-3,
                      lambda_grid=(0.0, 10.0))
-# the command-line runs: flags shared by every command that trains
+# the command-line runs: flags shared by every command that trains, and the
+# weight grid of the two that sweep
 CLI_FIT = ["--hidden", "16", "--masks", "2", "--orderings", "2", "--patience", "4",
            "--batch-size", "16", "--lr", "0.003", "--epochs", "40"]
 CLI_GRID = ["--lambda-grid", "0,1,10,100"]
@@ -134,12 +136,9 @@ def cli_lines():
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         data = str(root / "data.csv")
-        with open(data, "w", encoding="utf-8") as fh:
-            fh.write(",".join(ds.attribute_names) + ",label\n")
-            for row, label in zip(ds.attributes, ds.labels):
-                fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+        write_csv(data, ds)
         runs = {
-            "train": ["train", "--data", data, "--lambda", "10", *CLI_FIT, *CLI_GRID],
+            "train": ["train", "--data", data, "--lambda", "10", *CLI_FIT],
             "sweep": ["sweep", "--data", data, *CLI_FIT, *CLI_GRID],
             "experiment": ["experiment", "--data", data, "--seeds", "0..2", *CLI_FIT, *CLI_GRID],
             "score": ["score", "--model", str(root / "sweep" / "model.bin"), "--data", data,
