@@ -125,12 +125,10 @@ def cmd_sweep(args) -> int:
     result = sweep_lambda(init, ds, bundle, cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_model(str(out / "model.bin"), result.best_params, stats)
-    with open(out / "sweep_report.csv", "w", encoding="utf-8") as fh:
-        fh.write("lambda,best_epoch,best_val_auc,chosen\n")
-        for lam in sorted(result.reports):
-            rep = result.reports[lam]
-            chosen = int(lam == result.best_lambda)
-            fh.write(f"{_fmt(lam)},{rep.best_epoch},{rep.best_val_auc!r},{chosen}\n")
+    rows = [(_fmt(lam), rep.best_epoch, rep.best_val_auc, int(lam == result.best_lambda))
+            for lam, rep in result.reports.items()]
+    datamod.write_rows(str(out / "sweep_report.csv"),
+                       ("lambda", "best_epoch", "best_val_auc", "chosen"), rows)
     print(f"chosen lambda={_fmt(result.best_lambda)}")
     return 0
 
@@ -179,10 +177,8 @@ def cmd_score(args) -> int:
     metrics.write_json_summary(str(out / "score_summary.json"), report.to_json_dict())
     if args.roc and report.auc is not None:
         points = metrics.roc_points(scores[table.labels == 1], scores[table.labels == 0])
-        with open(out / "roc.tsv", "w", encoding="utf-8") as fh:
-            fh.write("threshold\tfpr\ttpr\n")
-            for t, fpr, tpr in points:
-                fh.write(f"{_fmt(t)}\t{float(fpr)!r}\t{float(tpr)!r}\n")
+        rows = [(_fmt(t), fpr, tpr) for t, fpr, tpr in points.tolist()]
+        datamod.write_rows(str(out / "roc.tsv"), ("threshold", "fpr", "tpr"), rows, "\t")
     auc_text = "n/a" if report.auc is None else _fmt(report.auc)
     print(f"scored {len(scores)} instances auc={auc_text}")
     return 0
@@ -205,7 +201,7 @@ def cmd_experiment(args) -> int:
             chosen_lambda=result.sweep.best_lambda,
             auc_per_method=aucs,
             lambda_val_auc={
-                _fmt(lam): rep.best_val_auc for lam, rep in sorted(result.sweep.reports.items())
+                _fmt(lam): rep.best_val_auc for lam, rep in result.sweep.reports.items()
             },
             n_test_normals=len(result.bundle.test_normal),
             n_test_anomalies=len(result.bundle.test_anom),
@@ -215,12 +211,13 @@ def cmd_experiment(args) -> int:
             f"seed={seed} lambda={_fmt(result.sweep.best_lambda)} "
             + " ".join(f"{m}={_fmt(v)}" for m, v in aucs.items())
         )
-    with open(out / "aggregate.csv", "w", encoding="utf-8") as fh:
-        fh.write("method,mean_auc,stderr,n_seeds\n")
-        for method, values in per_method.items():
-            values = np.array(values)
-            stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
-            fh.write(f"{method},{_fmt(values.mean())},{_fmt(stderr)},{len(values)}\n")
+    rows = []
+    for method, values in per_method.items():
+        values = np.array(values)
+        stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+        rows.append((method, _fmt(values.mean()), _fmt(stderr), len(values)))
+    datamod.write_rows(str(out / "aggregate.csv"),
+                       ("method", "mean_auc", "stderr", "n_seeds"), rows)
     print(f"wrote {out / 'aggregate.csv'}")
     return 0
 
@@ -238,10 +235,8 @@ def cmd_synth(args) -> int:
     grid = synth.profile_grid()
     score_unsup = anomaly_score_batch(unsup_params, grid)
     score_sup = anomaly_score_batch(sup_params, grid)
-    with open(out / "profile.tsv", "w", encoding="utf-8") as fh:
-        fh.write("x\tscore_unsup\tscore_sup\n")
-        for x, su, ss in zip(grid[:, 0], score_unsup, score_sup):
-            fh.write(f"{float(x)!r}\t{float(su)!r}\t{float(ss)!r}\n")
+    rows = zip(grid[:, 0].tolist(), score_unsup.tolist(), score_sup.tolist())
+    datamod.write_rows(str(out / "profile.tsv"), ("x", "score_unsup", "score_sup"), rows, "\t")
     print(f"wrote {out / 'dataset.csv'} and {out / 'profile.tsv'}")
     return 0
 

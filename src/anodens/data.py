@@ -209,14 +209,20 @@ def load_csv(path: str, label_column) -> Dataset:
     return Dataset(attributes, labels, names, kinds)
 
 
-def write_csv(path: str, ds: Dataset) -> None:
-    """Write the attribute columns, then a 0/1 `label` column, as a headered CSV;
-    each value is its repr, which `load_csv(path, "label")` reads back bit for bit."""
+def write_rows(path: str, header, rows, delimiter: str = ",") -> None:
+    """Write a header and rows as a UTF-8 delimited file with `\\n` line ends.  A float
+    is written as its repr, so pass Python values (`tolist`), not numpy scalars."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow((*ds.attribute_names, "label"))
-        for row, label in zip(ds.attributes, ds.labels):
-            writer.writerow([*(repr(float(v)) for v in row), int(label)])
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(path: str, ds: Dataset) -> None:
+    """Write the attribute columns, then a 0/1 `label` column, as a headered CSV
+    that `load_csv(path, "label")` reads back bit for bit."""
+    rows = ([*row, label] for row, label in zip(ds.attributes.tolist(), ds.labels.tolist()))
+    write_rows(path, (*ds.attribute_names, "label"), rows)
 
 
 def normalize_minmax(ds: Dataset) -> tuple[Dataset, NormStats]:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_rows
+
 
 def _counts_at_or_above(anomaly_scores: np.ndarray, normal_scores: np.ndarray):
     """(distinct scores descending, int64 counts of anomalies and of normals scoring >= each).
@@ -82,11 +84,9 @@ class ScoreReport:
         return out
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("index,label,score\n")
-            labels = [""] * len(self.scores) if self.labels is None else map(int, self.labels)
-            for idx, label, score in zip(self.indices, labels, self.scores):
-                fh.write(f"{int(idx)},{label},{float(score)!r}\n")
+        labels = [""] * len(self.scores) if self.labels is None else self.labels.tolist()
+        rows = zip(self.indices.tolist(), labels, self.scores.tolist())
+        write_rows(path, ("index", "label", "score"), rows)
 
 
 def report_from_scores(indices, labels, scores) -> ScoreReport:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import fit_gaussian, fit_knn, gaussian_score_batch, knn_score_batch
-from .data import Dataset, SplitBundle, split
+from .data import Dataset, SplitBundle, split, write_rows
 from .metrics import ScoreReport, auc, report_from_scores
 from .model import (
     MadeParams, anomaly_score_batch, build_masks, choose_head, init_params, tile_slices
@@ -56,21 +56,35 @@ class EpochRecord:
 
 @dataclass
 class TrainReport:
+    """One run's epoch records, in epoch order; the early-stop rule derives the rest."""
+
     lam: float
+    patience: int
     epochs: list[EpochRecord]
-    best_epoch: int
-    best_val_auc: float
-    stopped_early: bool
+
+    @property
+    def best(self) -> EpochRecord:
+        # max keeps the first of equal values, so ties keep the earliest epoch
+        return max(self.epochs, key=lambda rec: rec.val_auc)
+
+    @property
+    def best_epoch(self) -> int:
+        return self.best.epoch
+
+    @property
+    def best_val_auc(self) -> float:
+        return self.best.val_auc
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.epochs[-1].epoch - self.best.epoch >= self.patience
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,objective,val_auc\n")
-            for rec in self.epochs:
-                fh.write(f"{rec.epoch},{rec.objective!r},{rec.val_auc!r}\n")
-            fh.write(
-                f"# best_epoch={self.best_epoch} best_val_auc={self.best_val_auc!r} "
-                f"lambda={self.lam!r}\n"
-            )
+        """The epoch rows, then a one-field `# best_epoch=…` summary row."""
+        summary = (f"# best_epoch={self.best_epoch} best_val_auc={self.best_val_auc!r} "
+                   f"lambda={self.lam!r}")
+        rows = [(rec.epoch, rec.objective, rec.val_auc) for rec in self.epochs]
+        write_rows(path, ("epoch", "objective", "val_auc"), [*rows, (summary,)])
 
 
 @dataclass
@@ -150,7 +164,7 @@ def train(
 ) -> tuple[MadeParams, TrainReport]:
     """Optimize the objective on the training split, early-stopping on val AUC.
 
-    Returns the parameters from the best-validation-AUC epoch.  With lam == 0
+    Returns the parameters of the report's best epoch.  With lam == 0
     the anomaly rows of the training split are never read.
     """
     if len(bundle.train_normal) == 0:
@@ -169,7 +183,7 @@ def train(
     obj_cfg = ObjectiveConfig(lam=lam)
     state = AdamState.zeros_like(params.trainable())
     rng = np.random.default_rng(cfg.seed)
-    records: list[EpochRecord] = []
+    report = TrainReport(lam, cfg.patience, [])
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_normals))
@@ -185,55 +199,46 @@ def train(
             anomaly_score_batch(params, val_normals),
         )
         _check_finite(lam, epoch, objective, val_scores, cfg.learning_rate)
-        records.append(EpochRecord(epoch, objective, auc(*val_scores)))
-        # max keeps the first of equal values, so ties keep the earliest epoch
-        best = max(records, key=lambda rec: rec.val_auc)
-        if best is records[-1]:
+        report.epochs.append(EpochRecord(epoch, objective, auc(*val_scores)))
+        if report.best is report.epochs[-1]:
             best_params = params.copy()
-        elif epoch - best.epoch >= cfg.patience:
+        elif report.stopped_early:
             break
-
-    report = TrainReport(
-        lam=lam,
-        epochs=records,
-        best_epoch=best.epoch,
-        best_val_auc=best.val_auc,
-        stopped_early=epoch - best.epoch >= cfg.patience,
-    )
     return best_params, report
 
 
 @dataclass
 class SweepResult:
-    best_params: MadeParams
-    best_lambda: float
+    """One report and trained model per grid weight, both keyed in ascending weight."""
+
     reports: dict[float, TrainReport]
     models: dict[float, MadeParams]
+
+    @property
+    def best_lambda(self) -> float:
+        # max keeps the first of equal values, so ties keep the smaller weight
+        return max(self.reports, key=lambda lam: self.reports[lam].best_val_auc)
+
+    @property
+    def best_params(self) -> MadeParams:
+        return self.models[self.best_lambda]
 
 
 def sweep_lambda(
     init: MadeParams, ds: Dataset, bundle: SplitBundle, cfg: TrainConfig
 ) -> SweepResult:
-    """Train one model per grid value, keep the best validation AUC.
+    """Train one model per grid value; the result picks the best validation AUC.
 
     Every run starts from a copy of the same initial parameters and uses the
     same shuffle seed.  Ties in validation AUC go to the smaller weight.
     """
     if not cfg.lambda_grid:
         raise ValueError("lambda grid must be non-empty")
-    grid = sorted(set(cfg.lambda_grid))
     reports: dict[float, TrainReport] = {}
     models: dict[float, MadeParams] = {}
-    for lam in grid:
+    for lam in sorted(set(cfg.lambda_grid)):
         models[lam], reports[lam] = train(init, ds, bundle, cfg, lam)
-    # max keeps the first of equal values, so ties keep the smaller weight
-    best_lambda = max(grid, key=lambda lam: reports[lam].best_val_auc)
-    return SweepResult(
-        best_params=models[best_lambda],
-        best_lambda=best_lambda,
-        reports=reports,
-        models=models,
-    )
+    return SweepResult(reports, models)
 
 
 def seeded_setup(
@@ -290,7 +295,7 @@ def run_seed(ds: Dataset, seed: int, *, knn_k: int = 5, **options) -> SeedResult
     # the baselines read only the split, so a bad knn_k fails before any training
     train_normals = ds.attributes[bundle.train_normal]
     gaussian = fit_gaussian(train_normals)
-    knn = fit_knn(train_normals, k=min(knn_k, len(train_normals)))
+    knn = fit_knn(train_normals, k=knn_k)
     sweep = sweep_lambda(init, ds, bundle, cfg)
     if 0.0 in sweep.models:
         lambda0_params = sweep.models[0.0]

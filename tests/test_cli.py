@@ -318,12 +318,13 @@ class TestExperiment:
         monkeypatch.setattr("anodens.training.sweep_lambda", sweep_lambda)
         data = write_benchmark_csv(tmp_path / "d.csv")
         out = tmp_path / "o"
-        rc = main(["experiment", "--data", data, "--out", str(out), "--seeds", "0",
-                   "--knn-k", "0", *FAST])
-        assert rc == 1
         # the split of seed 0 keeps 80% of the 80 normals for training
-        assert capsys.readouterr().err == "error: k must lie in [1, 64], got 0\n"
-        assert not out.exists()
+        for k in ("0", "1000"):
+            rc = main(["experiment", "--data", data, "--out", str(out), "--seeds", "0",
+                       "--knn-k", k, *FAST])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: k must lie in [1, 64], got {k}\n"
+            assert not out.exists()
 
     def test_insufficient_anomalies_fails_with_single_line(self, tmp_path, capsys):
         data = write_benchmark_csv(tmp_path / "d.csv", n_normal=60, n_anomaly=5)

@@ -1033,17 +1033,20 @@ class TestTileWorkers:
         assert done.stdout.split() == ["1", "0"]
 
     def test_small_shapes_match_across_blas_thread_counts(self):
-        # tools/parity.py's D in {3, 8} passes: 2 shapes x 2 heads x 2 dtypes x 26 arrays
+        # tools/parity.py's D in {3, 8} passes (2 shapes x 2 heads x 2 dtypes x 26 arrays),
+        # then its D in {3, 8} sweeps (52 lines) and the 16 files its command-line runs write
         parity = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "parity.py")
         code = ("import runpy, sys; parity = runpy.run_path(sys.argv[1]); "
-                "print(*parity['pass_lines'](parity['SHAPES'][:2]), sep='\\n')")
+                "print(*parity['pass_lines'](parity['SHAPES'][:2]), "
+                "*parity['training_lines'](parity['TRAIN_SHAPES']), "
+                "*parity['cli_lines'](), sep='\\n')")
         outputs = [
             subprocess.run([sys.executable, "-c", code, parity],
                            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
                            capture_output=True, text=True, timeout=120, check=True).stdout
             for threads in ("1", "2")
         ]
-        assert len(outputs[0].splitlines()) == 208
+        assert len(outputs[0].splitlines()) == 276
         assert outputs[0] == outputs[1]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

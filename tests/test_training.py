@@ -15,6 +15,7 @@ from anodens.objective import LabeledBatch, ObjectiveConfig, objective_and_gradi
 from anodens.synth import make_scenario
 from anodens.training import (
     AdamState,
+    EpochRecord,
     TrainConfig,
     TrainReport,
     adam_step,
@@ -109,6 +110,22 @@ class TestEarlyStopping:
         assert (report.best_epoch, report.best_val_auc, report.stopped_early) == (1, 0.7, False)
         first, _ = scripted_train(monkeypatch, ds, bundle, [0.7], max_epochs=1)
         assert_same_model(params, first)
+
+    @pytest.mark.parametrize(
+        "aucs, best_epoch, stopped_early",
+        [
+            ([0.9, 0.5], 1, True),  # patience runs out on the last epoch
+            ([0.5, 0.9], 2, False),
+            ([0.9, 0.9], 1, True),  # the tie keeps epoch 1, which the last epoch passed
+        ],
+    )
+    def test_last_epoch_edge_cases_with_patience_one(
+        self, scenario_data, monkeypatch, aucs, best_epoch, stopped_early
+    ):
+        ds, bundle = scenario_data
+        _, report = scripted_train(monkeypatch, ds, bundle, aucs, patience=1, max_epochs=2)
+        assert [rec.epoch for rec in report.epochs] == [1, 2]
+        assert (report.best_epoch, report.stopped_early) == (best_epoch, stopped_early)
 
 
 class TestTrain:
@@ -258,9 +275,7 @@ class TestSweep:
         ds, bundle = scenario_data
 
         def fake_train(init, ds_, bundle_, cfg_, lam):
-            report = TrainReport(
-                lam=lam, epochs=[], best_epoch=1, best_val_auc=0.75, stopped_early=False
-            )
+            report = TrainReport(lam=lam, patience=1, epochs=[EpochRecord(1, 0.0, 0.75)])
             return init.copy(), report
 
         monkeypatch.setattr(training_module, "train", fake_train)
