@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -345,28 +346,99 @@ if hasattr(os, "register_at_fork"):
 
 
 def _map_tiles(task, tiles: list):
-    """task(tile) for each tile, yielded in tile order, in groups of `tile_workers()` tiles.
+    """task(tile) for each tile, yielded in tile order, up to `tile_workers()` tiles at once.
 
-    The pool of workers - 1 threads runs every tile of a group but the last,
-    which the calling thread runs; once every tile of the group has stopped,
-    their results are yielded.  So at most `workers` tiles run at once, none
-    runs while a result is yielded (a consumer that stops early leaves none
-    running), and a tile's exception reaches the caller only once no tile
-    is running.  With one worker this is map(task, tiles).
+    Tiles stream through the pool's workers - 1 threads and the calling
+    thread: the pool starts on the first tiles and the caller on the next,
+    and from then on each thread takes the next tile no one has taken, so
+    none waits for a slower tile before taking another.  A tile is taken
+    only while it is fewer than 2 * workers tiles ahead of the next result
+    to yield, which bounds the results held; the pool runs on while a result
+    is yielded.  A tile's exception reaches the caller once no tile runs.
+    Closing the generator stops the taking, cancels pool work not yet
+    started and waits for the tiles that have.  The caller runs any first
+    tile a busy pool has not started, so it can always finish a pass alone.
+    With one worker this is map(task, tiles).
     """
     workers = tile_workers().workers
-    for group in tile_slices(len(tiles), workers):
-        *pooled, last = tiles[group]
-        futures = [_tile_pool(workers - 1).submit(task, tile) for tile in pooled]
+    if workers == 1:
+        yield from map(task, tiles)
+        return
+    cond = threading.Condition()
+    results, failures = {}, []  # results by tile index until yielded; tiles' exceptions
+    pooled = min(workers - 1, len(tiles) - 1)  # the pool's first tiles
+    taken, running, yielded, stopped = pooled, 0, 0, False
+
+    def take() -> int | None:
+        """The next tile, counted as running, if it may be taken now; cond held."""
+        nonlocal taken, running
+        if stopped or taken == len(tiles) or taken >= yielded + 2 * workers:
+            return None
+        taken, running = taken + 1, running + 1
+        return taken - 1
+
+    def run(i: int) -> None:
+        """Run tile i, which its taker counted as running; cond not held."""
+        nonlocal running, stopped
+        error = None
         try:
-            result = task(last)
-        finally:
-            # exception() waits for a tile, and result() below raises its error; a
-            # comprehension, as a loop variable would keep a result into the next group
-            [future.exception() for future in futures]
-        while futures:  # popped, so no result outlives its yield
-            yield futures.pop(0).result()
-        yield result
+            result = task(tiles[i])
+        except BaseException as caught:  # raised in the caller once no tile runs
+            error = caught
+        with cond:
+            if error is None:
+                results[i] = result
+            else:
+                failures.append(error)
+                stopped = True
+            running -= 1
+            cond.notify_all()
+
+    def pool_thread(tile: int | None) -> None:
+        nonlocal running
+        with cond:
+            if stopped:
+                return
+            running += 1
+        while tile is not None:
+            run(tile)
+            with cond:
+                while (tile := take()) is None and not stopped and taken < len(tiles):
+                    cond.wait()  # the window is full
+
+    def caller_tile(i: int) -> int | None:
+        """A tile for the caller to run while result i is not ready; None once it is."""
+        nonlocal running
+        with cond:
+            while True:
+                if failures:
+                    raise failures[0]  # once the finally below has waited out every tile
+                if i in results:
+                    return None
+                tile = take()
+                # a busy pool may not have started tile i; then the caller runs it
+                if tile is None and i < pooled and futures[i].cancel():
+                    tile, running = i, running + 1
+                if tile is not None:
+                    return tile
+                cond.wait()
+
+    futures = [_tile_pool(workers - 1).submit(pool_thread, i) for i in range(pooled)]
+    try:
+        for i in range(len(tiles)):
+            with cond:
+                yielded = i
+                cond.notify_all()  # the window moved on
+            while (tile := caller_tile(i)) is not None:
+                run(tile)
+            yield results.pop(i)  # popped, so no result outlives its yield
+    finally:
+        for future in futures:
+            future.cancel()
+        with cond:
+            stopped = True
+            cond.notify_all()
+            cond.wait_for(lambda: running == 0)
 
 
 def _masks_activations(params: MadeParams, n_rows: int) -> bool:

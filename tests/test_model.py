@@ -1000,29 +1000,117 @@ class TestTileWorkers:
             log_density_batch(params, np.full((3, 3), 0.5))
         assert running[0] == 0
 
-    def test_tiles_run_in_groups_of_workers_with_the_last_in_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "late-pool"])
+    def test_caller_or_late_pool_tile_exception_waits_for_running_tiles(self, monkeypatch,
+                                                                         in_caller):
+        # the pool starts on tiles 0 and 1 and the caller on tile 2: the caller's
+        # tile fails while tile 0 runs, or pool tile 0 fails once tile 3 is taken
         self.force_workers(monkeypatch, 3)
-        running, most, threads, lock = [0], [0], {}, threading.Lock()
+        failing, waited = (2, 0) if in_caller else (0, 3)
+        lock, running, seen = threading.Lock(), [0], []
+        started = [threading.Event() for _ in range(8)]
+
+        def task(tile):
+            with lock:
+                running[0] += 1
+            started[tile].set()
+            try:
+                if tile == failing:
+                    assert started[waited].wait(10)
+                    seen.extend([threading.current_thread(), running[0]])
+                    raise RuntimeError(f"tile {tile} failed")
+                time.sleep(0.3 if tile == waited else 0.01)
+                return tile
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(RuntimeError, match=f"^tile {failing} failed$"):
+            list(model._map_tiles(task, list(range(8))))
+        assert running[0] == 0
+        thread, running_at_failure = seen
+        assert (thread is threading.current_thread()) == in_caller
+        assert running_at_failure >= 2
+
+    def test_tiles_stream_in_order_within_twice_the_workers(self, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        lock, running, most = threading.Lock(), [0], [0]
+        received, ahead, finished, threads, slow = [], [], [], {}, {0: 0.3}
 
         def task(tile):
             with lock:
                 running[0] += 1
                 most[0] = max(most[0], running[0])
-            threads[tile] = threading.current_thread()
-            time.sleep(0.02)
+                ahead.append(tile - len(received))  # tiles past the next result to yield
+                threads[tile] = threading.current_thread()
+            time.sleep(slow.get(tile, 0.01))
             with lock:
                 running[0] -= 1
+                finished.append(tile)
             return tile * 10
 
-        assert list(model._map_tiles(task, list(range(7)))) == [0, 10, 20, 30, 40, 50, 60]
+        for result in model._map_tiles(task, list(range(12))):
+            received.append(result)
+            time.sleep(0.05)  # the pool runs on while a result is consumed
+        assert received == [tile * 10 for tile in range(12)]
         assert most[0] <= 3
-        # groups (0, 1, 2), (3, 4, 5) and (6,): the caller runs each group's last tile
+        # while slow tile 0 runs, the others run on up to 5 tiles ahead of it
+        assert max(ahead) == 5 and finished.index(0) > 0
         caller = threading.current_thread()
-        assert [tile for tile, thread in sorted(threads.items()) if thread is caller] == [2, 5, 6]
-        tiles = model._map_tiles(task, list(range(7)))
-        assert next(tiles) == 0
+        assert caller in [threads[tile] for tile in range(6)]
+        assert caller not in [threads[tile] for tile in range(6, 12)]
+        # closed while pool tile 1 runs: the close waits for it, and no tile starts after
+        slow.clear()
+        slow[1] = 0.5
+        tiles = model._map_tiles(task, list(range(12)))
+        assert next(tiles) == 0 and running[0] > 0
         tiles.close()
         assert running[0] == 0
+        done = len(finished)
+        time.sleep(0.05)
+        assert len(finished) == done
+
+    def test_caller_finishes_a_pass_alone_while_the_pool_is_busy(self, monkeypatch):
+        self.force_workers(monkeypatch, 3)
+        pool, started, release = model._tile_pool(2), threading.Semaphore(0), threading.Event()
+
+        def block():
+            started.release()
+            return release.wait(10)
+
+        blockers = [pool.submit(block) for _ in range(2)]
+        threads = []
+
+        def task(tile):
+            threads.append(threading.current_thread())
+            return tile
+
+        try:
+            assert started.acquire(timeout=10) and started.acquire(timeout=10)
+            assert list(model._map_tiles(task, list(range(5)))) == list(range(5))
+        finally:
+            release.set()
+        assert all(blocker.result(timeout=10) for blocker in blockers)
+        # work queued behind the pass's pool work has run, and no pool thread ran a tile
+        assert all(pool.submit(bool).result(timeout=10) is False for _ in range(2))
+        assert threads == [threading.current_thread()] * 5
+
+    def test_paper_shape_matches_across_worker_counts(self, monkeypatch):
+        # 100 members at D=30, H=500: a float32 training pass runs 25 tiles, which
+        # fill the window of 2 * workers tiles, and 300 float64 rows two row tiles
+        masks = build_masks(30, 500, 10, 10, seed=44)
+        params = init_params(masks, head=GAUSSIAN_MIXTURE, n_components=3, seed=45)
+        assert len(model.tile_slices(100, model.members_per_tile(params, np.float32))) == 25
+        x = np.random.default_rng(44).uniform(size=(300, 30))
+        batch = LabeledBatch(x[:64].astype(np.float32), x[64:67].astype(np.float32))
+        results = {}
+        for workers in (1, 2, 3):
+            self.force_workers(monkeypatch, workers)
+            value, grads = objective_and_gradient(params, batch, ObjectiveConfig(lam=10.0))
+            results[workers] = [np.float64(value), *grads.values(), log_density_batch(params, x)]
+        for workers, arrays in results.items():
+            for one, many in zip(results[1], arrays):
+                assert one.dtype == many.dtype and one.tobytes() == many.tobytes(), workers
 
     def test_importing_anodens_starts_no_thread(self):
         code = ("import threading, anodens; "
