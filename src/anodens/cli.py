@@ -157,6 +157,19 @@ def _check_binary(attributes, table: datamod.CsvTable) -> None:
         )
 
 
+def _check_scorable(bad_rows, attributes, table: datamod.CsvTable) -> None:
+    """Fail at the first row marked bad, naming its CSV line and the attribute
+    that lies furthest outside the model's [0, 1] range."""
+    if bad_rows.any():
+        row = int(np.argmax(bad_rows))
+        col = int(np.argmax(np.maximum(attributes[row] - 1.0, -attributes[row])))
+        raise ValueError(
+            f"attribute {table.attribute_names[col]} holds value "
+            f"{float(table.attributes[row, col])!r} on line {table.line_numbers[row]}, "
+            f"too far outside the training range for a finite score"
+        )
+
+
 def cmd_score(args) -> int:
     out = _output_dir(args, "model", "data")
     params, stats = load_model(args.model)
@@ -166,11 +179,13 @@ def cmd_score(args) -> int:
     if stats is not None:
         _check_attribute_names(table.attribute_names, stats.attribute_names,
                                args.label == NO_LABEL)
-        # clamping would turn an out-of-range binary value into 0 or 1
-        attributes = stats.apply(attributes, clip=params.head != BERNOULLI)
+        attributes = stats.apply(attributes)
     if params.head == BERNOULLI:
         _check_binary(attributes, table)
+    # a value far enough out maps to an infinite one, or scores infinite
+    _check_scorable(~np.isfinite(attributes).all(axis=1), attributes, table)
     scores = anomaly_score_batch(params, attributes)
+    _check_scorable(~np.isfinite(scores), attributes, table)
     report = metrics.report_from_scores(np.arange(len(scores)), table.labels, scores)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(str(out / "scores.csv"))

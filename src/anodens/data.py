@@ -76,8 +76,12 @@ class NormStats:
         if np.any(self.mins > self.maxs):
             raise ValueError("per-attribute min must not exceed max")
 
-    def apply(self, x: np.ndarray, clip: bool = True) -> np.ndarray:
-        """Map rows onto the stored [0, 1] ranges; unseen values are clamped."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Map rows linearly by the stored ranges: [min, max] onto [0, 1].
+
+        A value outside its column's range maps outside [0, 1], so the
+        further out it lies, the further out it scores.
+        """
         x, lo = np.asarray(x, dtype=np.float64), self.mins
         with np.errstate(over="ignore"):
             span = self.maxs - lo
@@ -90,10 +94,7 @@ class NormStats:
             span = self.maxs * scale - lo
         safe = np.where(span > 0, span, 1.0)
         out = (x - lo) / safe
-        out = np.where(span > 0, out, 0.0)  # constant columns collapse to 0
-        if clip:
-            out = np.clip(out, 0.0, 1.0)
-        return out
+        return np.where(span > 0, out, 0.0)  # constant columns collapse to 0
 
 
 @dataclass
@@ -239,7 +240,7 @@ def normalize_minmax(ds: Dataset) -> tuple[Dataset, NormStats]:
             mins[j] = ds.attributes[:, j].min()
             maxs[j] = ds.attributes[:, j].max()
     stats = NormStats(ds.attribute_names, mins, maxs)
-    normalized = stats.apply(ds.attributes, clip=False)
+    normalized = stats.apply(ds.attributes)
     out = Dataset(normalized, ds.labels.copy(), ds.attribute_names, ds.attribute_kinds)
     return out, stats
 

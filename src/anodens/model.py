@@ -48,6 +48,9 @@ MODEL_FORMAT_VERSION = 2
 TILE_BYTES = 2 * 500 * (9 * 30 + 256) * 8
 ROW_TILE = 256
 
+# Hidden units whose output weights `init_params` draws at once.
+INIT_DRAW_ROWS = 16
+
 # The variables OpenBLAS reads its thread count from, in its order of precedence.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -57,16 +60,36 @@ def _head_width(head: str, n_components: int) -> int:
     return 3 * n_components if head == GAUSSIAN_MIXTURE else 1
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def _shifted_exp(a: np.ndarray, axis: int):
+    """(exp(a - m), sum of it, logsumexp(a)) along `axis`, m the max made finite; keepdims."""
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis))
-    return out + np.squeeze(amax, axis=axis)
+    exps = np.exp(a - amax)
+    total = np.sum(exps, axis=axis, keepdims=True)
+    return exps, total, np.log(total) + amax
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    return np.squeeze(_shifted_exp(a, axis)[2], axis=axis)
+
+
+def _softplus_of(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(a)), given e = exp(-|a|), so exp cannot overflow."""
+    return np.maximum(a, 0.0) + np.log1p(e)
+
+
+def _sigmoid_of(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)), given e = exp(-|a|): exp(-a) for a >= 0 and exp(a) otherwise.
+
+    The numerator is 1 where a >= 0 and e elsewhere; as e <= 1 it is
+    max(e, a >= 0), which runs branch-free where np.where mispredicts.
+    """
+    return np.maximum(e, a >= 0) / (1.0 + e)
 
 
 def _softplus(a: np.ndarray) -> np.ndarray:
     """log(1 + exp(a)); exp only ever sees -|a|, so it cannot overflow."""
-    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+    return _softplus_of(a, np.exp(-np.abs(a)))
 
 
 def as_compute_array(a) -> np.ndarray:
@@ -78,9 +101,7 @@ def as_compute_array(a) -> np.ndarray:
 def sigmoid(s):
     """1 / (1 + exp(-s)), overflow-safe for arbitrarily large |s|; float32 stays float32."""
     arr = as_compute_array(s)
-    # exp(-|s|) is exp(-s) for s >= 0 and exp(s) otherwise
-    e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    out = _sigmoid_of(arr, np.exp(-np.abs(arr)))
     return out if arr.ndim else float(out)
 
 
@@ -247,11 +268,18 @@ def init_params(
     rng = np.random.default_rng(seed)
     lim_in = np.sqrt(6.0 / (d + h))
     lim_out = np.sqrt(6.0 / (h + d * width))
+    w_in = rng.uniform(-lim_in, lim_in, size=(d, h))
+    w_out = np.empty((h, width, d))
+    # drawn in the file's column order, so a seed gives the same weights in any
+    # layout, a block of hidden units at a time: the stream fills rows in order,
+    # so the blocks are one draw, and only a block is held beside w_out
+    by_attribute = w_out.transpose(0, 2, 1)  # (H, D, P), file order per hidden unit
+    for rows in tile_slices(h, INIT_DRAW_ROWS):
+        by_attribute[rows] = rng.uniform(-lim_out, lim_out, size=by_attribute[rows].shape)
     return MadeParams(
-        w_in=rng.uniform(-lim_in, lim_in, size=(d, h)),
+        w_in=w_in,
         b_in=np.zeros(h),
-        # drawn in the file's column order, so a seed gives the same weights in any layout
-        w_out=_head_major(rng.uniform(-lim_out, lim_out, size=(h, d * width)), d),
+        w_out=w_out,
         b_out=np.zeros((width, d)),
         head=head,
         n_components=n_components,
@@ -542,23 +570,40 @@ def _head(params: MadeParams, x: np.ndarray, raw: np.ndarray, grad=None) -> np.n
     With `grad`, an (M', B, P, D) array, the head's local gradient
     d(sum_d log_cond) / d raw is written into it: backprop multiplies it by
     each member's upstream gradient.
+
+    The mixture branch is one pass: with z = (x - mu) / sigma,
+    log_cond = LSE_k(logit - log sigma - z^2 / 2) - LSE_k(logit) - log(2 pi) / 2,
+    and the responsibilities and the weights' softmax come from the exps of
+    those two logsumexps.  One exp(-|scale|) feeds the softplus link and its
+    sigmoid derivative.
     """
     if params.head == GAUSSIAN_MIXTURE:
         k = params.n_components
-        log_mix, means, sigmas = _mixture_link(raw, k)
-        z = (x[None, :, None, :] - means) / sigmas
-        log_norm = -0.5 * LOG_2PI - np.log(sigmas) - 0.5 * z * z
-        scored = log_mix + log_norm  # (M', B, K, D)
-        log_cond = _logsumexp(scored, axis=-2)
+        logits, means, scales = raw[..., :k, :], raw[..., k : 2 * k, :], raw[..., 2 * k :, :]
+        e = np.exp(-np.abs(scales))
+        sigmas = _softplus_of(scales, e)
+        sigmas += SIGMA_MIN
+        z = x[None, :, None, :] - means
+        z /= sigmas
+        scored = z * z
+        scored *= 0.5
+        scored += np.log(sigmas)
+        np.subtract(logits, scored, out=scored)  # (M', B, K, D)
+        resp, resp_total, lse_scored = _shifted_exp(scored, axis=-2)
+        mix, mix_total, lse_logits = _shifted_exp(logits, axis=-2)
+        log_cond = lse_scored[..., 0, :] - lse_logits[..., 0, :] - 0.5 * LOG_2PI
         if grad is not None:
-            diff = x[None, :, None, :] - means
-            resp = np.exp(scored - log_cond[..., None, :])
-            inv_sigma = 1.0 / sigmas
-            np.subtract(resp, np.exp(log_mix), out=grad[..., :k, :])
-            np.multiply(resp * diff * inv_sigma, inv_sigma, out=grad[..., k : 2 * k, :])
-            g_sigma = resp * (diff * diff * inv_sigma * inv_sigma - 1.0) * inv_sigma
+            resp /= resp_total
+            mix /= mix_total
+            np.subtract(resp, mix, out=grad[..., :k, :])
+            resp /= sigmas  # resp / sigma: the mean's and the scale's common factor
+            np.multiply(resp, z, out=grad[..., k : 2 * k, :])
+            g_scale = grad[..., 2 * k :, :]
+            np.multiply(z, z, out=g_scale)
+            g_scale -= 1.0
+            g_scale *= resp
             # scale raw feeds sigma through a softplus link
-            np.multiply(g_sigma, sigmoid(raw[..., 2 * k :, :]), out=grad[..., 2 * k :, :])
+            g_scale *= _sigmoid_of(scales, e)
         return log_cond
     logit = raw[..., 0, :]  # (M', B, D)
     if grad is not None:
@@ -620,37 +665,48 @@ def backprop_log_density(
     """Gradient of sum_i coeff[i] * log_density(x_i) w.r.t. every weight and bias.
 
     Runs in the dtype of cache.x over the member tiles of the forward pass,
-    up to `tile_workers()` at once, rebuilding each tile's masked output
-    weights, and returns float64 arrays.  Each tile's raw-output gradient is
-    its members' upstream gradient times the head's local gradient the
-    forward pass kept, whatever the head.  Masks are constants; masked-out
-    weights receive exactly zero gradient.
+    up to `tile_workers()` at once, and returns float64 arrays.  Each tile's
+    raw-output gradient is its members' upstream gradient times the head's
+    local gradient the forward pass kept, whatever the head.
+
+    Backward keeps hidden units innermost.  Hidden h feeds attribute d iff
+    deg(h) < pos(d), the negation of the input rule pos(d) <= deg(h), so a
+    tile's output masks as (M', D, H) are ~input_masks, read contiguously.
+    Each tile masks a (P, D, H) copy of w_out made once per call, and the
+    w_out gradient is masked in place, summed over the tile's members and
+    turned back to (H, P, D) once, at the end.  Masks are constants;
+    masked-out weights receive exactly zero gradient.
     """
     x, b = cache.x, cache.x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
     params = params.astype(x.dtype)
     # d(obj)/d(member_ld), (M, B)
     upstream = cache.member_weight * np.asarray(coeff, dtype=x.dtype)[None, :]
+    w_out_t = np.ascontiguousarray(params.w_out.transpose(1, 2, 0))  # (P, D, H)
+    trainable = {**params.trainable(), "w_out": w_out_t}
 
     def tile_grads(members: slice) -> list[np.ndarray]:
-        """This tile's gradient partials, one per trainable array and of its shape."""
+        """This tile's gradient partials, one per array of `trainable` and of its shape."""
         # allocated before the tile's temporaries, as forward_ensemble's arrays are
-        parts = [np.empty_like(arr) for arr in params.trainable().values()]
+        parts = [np.empty_like(arr) for arr in trainable.values()]
         hidden = cache.hidden[members]
         input_masks = params.masks.input_masks[members]
-        # cast once: the einsum and the masked output weights both read it
-        output_masks = params.masks.output_masks[members].astype(x.dtype)
+        output_masks = np.logical_not(input_masks)[:, None]  # (M', 1, D, H)
+        if p > 1:
+            # cast once, as `_masked_w_out` does: it broadcasts over P outputs
+            output_masks = output_masks.astype(x.dtype)
         raw_grad = upstream[members, :, None, None] * cache.head_grad[members]  # (M', B, P, D)
         raw_grad.sum(axis=(0, 1), out=parts[3])
         n_members = hidden.shape[0]
         raw_grad = raw_grad.reshape(n_members, b, p * d)
-        member_w_out_grad = np.matmul(hidden.transpose(0, 2, 1), raw_grad)
-        member_w_out_grad = member_w_out_grad.reshape(n_members, h, p, d)
-        np.einsum("mhpd,mhd->hpd", member_w_out_grad, output_masks, out=parts[2])
-        masked_w_out = _masked_w_out(params.w_out, output_masks).reshape(n_members, h, p * d)
+        member_w_out_grad = np.matmul(raw_grad.transpose(0, 2, 1), hidden)
+        member_w_out_grad = member_w_out_grad.reshape(n_members, p, d, h)
+        member_w_out_grad *= output_masks
+        member_w_out_grad.sum(axis=0, out=parts[2])
+        masked_w_out = (w_out_t * output_masks).reshape(n_members, p * d, h)
         # the hidden gradient, masked in place by hidden > 0 (the ReLU's pre > 0
         # mask, NaN and -0.0 included), becomes the pre-activation gradient
-        pre_grad = np.matmul(raw_grad, masked_w_out.transpose(0, 2, 1))
+        pre_grad = np.matmul(raw_grad, masked_w_out)
         pre_grad *= hidden > 0.0
         member_w_in_grad = np.matmul(x.T[None, :, :], pre_grad)
         member_w_in_grad *= input_masks
@@ -658,12 +714,13 @@ def backprop_log_density(
         pre_grad.sum(axis=(0, 1), out=parts[1])
         return parts
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.trainable().items()}
+    grads = {name: np.zeros_like(arr) for name, arr in trainable.items()}
     # summed here in tile order, so the sum is the same whatever the worker count
     tiles = tile_slices(params.masks.n_members, members_per_tile(params, x.dtype))
     for parts in _map_tiles(tile_grads, tiles):
         for grad, part in zip(grads.values(), parts):
             grad += part
+    grads["w_out"] = np.ascontiguousarray(grads["w_out"].transpose(2, 0, 1))  # (H, P, D)
     return {name: grad.astype(np.float64, copy=False) for name, grad in grads.items()}
 
 

@@ -126,9 +126,10 @@ def adam_step(
 
 
 def _float32_rows(rows: np.ndarray) -> np.ndarray:
-    """Training rows cast once to float32, the dtype every training step computes in.
+    """Training or validation rows cast once to float32, the dtype every
+    training step and validation scoring pass computes in.
 
-    Parameters, ADAM state and validation scoring stay float64.  A finite
+    Parameters, ADAM state and the returned model stay float64.  A finite
     value beyond float32's range fails here rather than as a non-finite input.
     """
     with np.errstate(over="raise"):
@@ -176,8 +177,8 @@ def train(
     train_anoms = _float32_rows(
         ds.attributes[np.asarray(bundle.train_anom if lam > 0 else (), dtype=np.int64)]
     )
-    val_normals = np.asarray(ds.attributes[np.asarray(bundle.val_normal)], dtype=np.float64)
-    val_anoms = np.asarray(ds.attributes[np.asarray(bundle.val_anom)], dtype=np.float64)
+    val_normals = _float32_rows(ds.attributes[np.asarray(bundle.val_normal)])
+    val_anoms = _float32_rows(ds.attributes[np.asarray(bundle.val_anom)])
 
     params = init.copy()
     obj_cfg = ObjectiveConfig(lam=lam)

@@ -219,6 +219,52 @@ class TestScoreInputs:
         )
         assert not (out / "scores.csv").exists()
 
+    def test_scores_rise_with_the_distance_past_the_training_max(self, tmp_path, capsys):
+        raw = make_tabular_benchmark(seed=0, n_normal=400, n_anomaly=40, n_attributes=8)
+        data = tmp_path / "d.csv"
+        write_csv(str(data), raw)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--seed", "0",
+                   "--hidden", "64", "--masks", "3", "--orderings", "3", "--epochs", "40",
+                   "--lambda", "0"])
+        assert rc == 0
+        _, stats = load_model(str(tmp_path / "run" / "model.bin"))
+        # one normal with a0 at the training max plus k spans
+        spans = [0.0, 0.5, 1.0, 3.0, 30.0]
+        row = raw.attributes[int(np.flatnonzero(raw.labels == 0)[0])].copy()
+        rows = []
+        for k in spans:
+            row[0] = stats.maxs[0] + k * (stats.maxs[0] - stats.mins[0])
+            rows.append(",".join(repr(float(v)) for v in row))
+        path = tmp_path / "beyond.csv"
+        path.write_text(",".join(raw.attribute_names) + "\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(tmp_path / "run" / "model.bin"), "--data", str(path),
+                   "--label", "none", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        lines = (out / "scores.csv").read_text().splitlines()[1:]
+        scores = [float(line.rsplit(",", 1)[1]) for line in lines]
+        assert len(scores) == len(spans)
+        assert all(a < b for a, b in zip(scores, scores[1:])), scores
+
+    def test_score_too_far_out_to_be_finite_fails_with_one_line(self, trained_model, tmp_path,
+                                                                capsys):
+        data, model_path = trained_model
+        lines = data.read_text().splitlines()
+        path = tmp_path / "far.csv"
+        values = lines[2].split(",")
+        values[1] = "1e300"
+        path.write_text("\n".join([lines[0], lines[1], ",".join(values)]) + "\n")
+        out = tmp_path / "scores"
+        rc = main(["score", "--model", str(model_path), "--data", str(path), "--out", str(out)])
+        assert rc == 1
+        name = lines[0].split(",")[1]
+        assert capsys.readouterr().err == (
+            f"error: attribute {name} holds value 1e+300 on line 3, "
+            "too far outside the training range for a finite score\n"
+        )
+        assert not out.exists()
+
     def test_malformed_model_header_fails_with_one_line(self, tmp_path, capsys):
         model_path = tmp_path / "model.bin"
         save_model(str(model_path), tiny_params(seed=2))

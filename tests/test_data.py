@@ -1,6 +1,7 @@
 import os
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,10 +196,10 @@ class TestNormalize:
             assert col.min() == 0.0
             assert col.max() == 1.0
 
-    def test_apply_clamps_unseen_values(self):
+    def test_apply_maps_unseen_values_linearly(self):
         stats = NormStats(("a",), np.array([0.0]), np.array([10.0]))
-        out = stats.apply(np.array([[-5.0], [5.0], [20.0]]))
-        assert out[:, 0].tolist() == [0.0, 0.5, 1.0]
+        out = stats.apply(np.array([[-5.0], [5.0], [20.0], [310.0]]))
+        assert out[:, 0].tolist() == [-0.5, 0.5, 2.0, 31.0]
 
     @pytest.mark.parametrize(
         "column, expected",
@@ -211,7 +212,11 @@ class TestNormalize:
             out, stats = normalize_minmax(ds)
             unseen = stats.apply(np.array([[-np.finfo(float).max], [np.finfo(float).max]]))
         assert out.attributes[:, 0].tolist() == expected
-        assert unseen[:, 0].tolist() == [0.0, 1.0]
+        # unseen values map linearly too, beyond [0, 1] and finite
+        lo, hi = Fraction(column[0]), Fraction(column[-1])
+        exact = [(Fraction(v) - lo) / (hi - lo) for v in (-np.finfo(float).max, np.finfo(float).max)]
+        np.testing.assert_allclose(unseen[:, 0], [float(v) for v in exact], rtol=1e-15, atol=0)
+        assert unseen[0, 0] < 0.0 and unseen[1, 0] > 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -239,7 +244,7 @@ class TestNormalize:
                 warnings.simplefilter("error")
                 ds = dedup(load_csv(path, "label"))
                 normalized, stats = normalize_minmax(ds)
-                out = stats.apply(ds.attributes, clip=False)
+                out = stats.apply(ds.attributes)
         np.testing.assert_array_equal(out, normalized.attributes)
         assert ((out >= 0.0) & (out <= 1.0)).all()
         for j, kind in enumerate(ds.attribute_kinds):

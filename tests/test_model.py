@@ -123,6 +123,41 @@ class TestMaskConstruction:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
 
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_output_masks_are_the_negated_input_masks_transposed(self, tmp_path, source):
+        # deg(h) < pos(d) is the negation of pos(d) <= deg(h); backward relies on it
+        masks = build_masks(30, 500, 10, 10, seed=4)
+        if source == "loaded":
+            path = str(tmp_path / "model.bin")
+            save_model(path, init_params(masks, seed=5))
+            masks = load_model(path)[0].masks
+        assert np.array_equal(masks.output_masks.transpose(0, 2, 1), ~masks.input_masks)
+
+
+class TestInitParams:
+    def test_w_out_is_one_draw_in_file_order(self):
+        masks = build_masks(30, 500, 1, 1, seed=0)
+        params = init_params(masks, seed=7)
+        rng = np.random.default_rng(7)
+        rng.uniform(size=(30, 500))  # w_in comes first
+        lim_out = np.sqrt(6.0 / (500 + 30 * 9))
+        one_draw = rng.uniform(-lim_out, lim_out, size=(500, 30 * 9))
+        assert params.w_out.flags.c_contiguous
+        assert params.w_out.tobytes() == model._head_major(one_draw, 30).tobytes()
+
+    def test_peak_memory_at_paper_shape(self):
+        masks = build_masks(30, 500, 10, 10, seed=0)
+        tracemalloc.start()
+        try:
+            init_params(masks, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the weights are 1.2e6 bytes (w_in 0.12e6, w_out 1.08e6) and a block
+        # of draws 35e3; a whole file-order draw beside its head-major copy
+        # peaked at 2.29e6
+        assert peak <= 1.3e6
+
 
 class TestForwardConditionals:
     def test_zero_weight_mixture_is_symmetric(self):
@@ -431,10 +466,10 @@ class TestContractionOrders:
                             lambda *args: built.append(1) or masked_w_out(*args))
         for want, got in zip(expected, arrays()):
             assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
-        # built once per member tile by each of: the single-row forward, and
-        # the objective's forward and backward
+        # built once per member tile by each of: the single-row forward and the
+        # objective's forward; backward masks a hidden-innermost copy of w_out
         n_tiles = len(model.tile_slices(5, model.members_per_tile(params, dtype)))
-        assert len(built) == 3 * n_tiles
+        assert len(built) == 2 * n_tiles
 
     @pytest.mark.parametrize("n, fit", [(100, 33), (100, 2), (7, 3), (13, 7), (5, 5), (3, 8)])
     def test_member_tiles_are_as_many_as_fit_gives_and_balanced(self, monkeypatch, n, fit):

@@ -216,15 +216,26 @@ class TestTrain:
         self, tmp_path, scenario_data, monkeypatch
     ):
         ds, bundle = scenario_data
-        step_dtypes = set()
+        step_dtypes, val_dtypes, val_param_dtypes = set(), [], set()
 
         def recording_step(params, batch, cfg):
             step_dtypes.update({batch.normals.dtype, batch.anomalies.dtype})
             return objective_and_gradient(params, batch, cfg)
 
+        def recording_score(params, x):
+            val_dtypes.append(x.dtype)
+            val_param_dtypes.update(arr.dtype for arr in params.trainable().values())
+            scores = anomaly_score_batch(params, x)
+            assert scores.dtype == np.float32
+            return scores
+
         monkeypatch.setattr(training_module, "objective_and_gradient", recording_step)
-        params, _ = train(fresh_init(ds), ds, bundle, quick_cfg(max_epochs=3), 1000.0)
+        monkeypatch.setattr(training_module, "anomaly_score_batch", recording_score)
+        params, report = train(fresh_init(ds), ds, bundle, quick_cfg(max_epochs=3), 1000.0)
         assert step_dtypes == {np.dtype(np.float32)}
+        # two validation calls per epoch, on float32 rows, of the float64 parameters
+        assert val_dtypes == [np.dtype(np.float32)] * (2 * len(report.epochs))
+        assert val_param_dtypes == {np.dtype(np.float64)}
         assert all(arr.dtype == np.float64 for arr in params.trainable().values())
         path = str(tmp_path / "model.bin")
         save_model(path, params)
@@ -243,9 +254,9 @@ class TestTrain:
     def test_diverging_optimiser_fails_with_one_line(self, scenario_data):
         ds, bundle = scenario_data
         with pytest.raises(ValueError) as exc:
-            train(fresh_init(ds), ds, bundle, quick_cfg(learning_rate=1e12), 1000.0)
+            train(fresh_init(ds), ds, bundle, quick_cfg(learning_rate=1e16), 1000.0)
         assert str(exc.value).startswith("lambda=1000 diverged at epoch ")
-        assert str(exc.value).endswith("; try a lower --lr than 1e+12")
+        assert str(exc.value).endswith("; try a lower --lr than 1e+16")
         # huge but finite values are left to the validation AUC
         train(fresh_init(ds), ds, bundle, quick_cfg(learning_rate=1e6, max_epochs=2), 1000.0)
 
