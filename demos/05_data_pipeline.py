@@ -71,8 +71,9 @@ np.testing.assert_array_equal(
 )
 print("reloaded model reproduces scores bit-for-bit")
 
-# out-of-range raw values are mapped with the stored stats and clamped to [0, 1]
+# out-of-range raw values are mapped linearly with the stored stats, so they
+# land outside [0, 1] and score the higher the further out they lie
 wild = np.array([[99.0, -99.0, 0.5, 0.5, 0.5]])
-clamped = reloaded_stats.apply(wild)
-print(f"unseen raw instance {wild[0][:2]}... maps to {np.round(clamped[0], 3)}")
-print(f"its anomaly score: {anomaly_score_batch(reloaded, clamped)[0]:.3f}")
+mapped = reloaded_stats.apply(wild)
+print(f"unseen raw instance {wild[0][:2]}... maps to {np.round(mapped[0], 3)}")
+print(f"its anomaly score: {anomaly_score_batch(reloaded, mapped)[0]:.3f}")

@@ -720,7 +720,7 @@ def backprop_log_density(
     for parts in _map_tiles(tile_grads, tiles):
         for grad, part in zip(grads.values(), parts):
             grad += part
-    grads["w_out"] = np.ascontiguousarray(grads["w_out"].transpose(2, 0, 1))  # (H, P, D)
+    grads["w_out"] = grads["w_out"].transpose(2, 0, 1).astype(np.float64, order="C")  # (H, P, D)
     return {name: grad.astype(np.float64, copy=False) for name, grad in grads.items()}
 
 

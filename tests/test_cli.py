@@ -264,6 +264,18 @@ class TestScoreInputs:
             "too far outside the training range for a finite score\n"
         )
         assert not out.exists()
+        # a value that maps beyond float64 fails the same way, before any scoring
+        narrow = tmp_path / "narrow.bin"
+        stats = NormStats(("a", "b", "c"), np.zeros(3), np.full(3, 1e-3))
+        save_model(str(narrow), tiny_params(seed=3), stats)
+        path.write_text("a,b,c,label\n0,0,0,0\n0,0,-1e308,1\n")
+        rc = main(["score", "--model", str(narrow), "--data", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: attribute c holds value -1e+308 on line 3, "
+            "too far outside the training range for a finite score\n"
+        )
+        assert not out.exists()
 
     def test_malformed_model_header_fails_with_one_line(self, tmp_path, capsys):
         model_path = tmp_path / "model.bin"
