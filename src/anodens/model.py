@@ -556,12 +556,19 @@ def _members_forward(
     return raw.reshape(n_members, b, p, d)
 
 
+def _scale_link(scales: np.ndarray):
+    """(sigmas, e): the floored softplus of raw scales, and e = exp(-|scales|) it used."""
+    e = np.exp(-np.abs(scales))
+    sigmas = _softplus_of(scales, e)
+    sigmas += SIGMA_MIN
+    return sigmas, e
+
+
 def _mixture_link(raw: np.ndarray, k: int):
     """(log mixture weights, means, floored scales), each (..., K, D), from raw (..., 3K, D)."""
     logits = raw[..., :k, :]
     log_mix = logits - _logsumexp(logits, axis=-2)[..., None, :]
-    sigmas = _softplus(raw[..., 2 * k :, :]) + SIGMA_MIN
-    return log_mix, raw[..., k : 2 * k, :], sigmas
+    return log_mix, raw[..., k : 2 * k, :], _scale_link(raw[..., 2 * k :, :])[0]
 
 
 def _head(params: MadeParams, x: np.ndarray, raw: np.ndarray, grad=None) -> np.ndarray:
@@ -580,9 +587,7 @@ def _head(params: MadeParams, x: np.ndarray, raw: np.ndarray, grad=None) -> np.n
     if params.head == GAUSSIAN_MIXTURE:
         k = params.n_components
         logits, means, scales = raw[..., :k, :], raw[..., k : 2 * k, :], raw[..., 2 * k :, :]
-        e = np.exp(-np.abs(scales))
-        sigmas = _softplus_of(scales, e)
-        sigmas += SIGMA_MIN
+        sigmas, e = _scale_link(scales)
         z = x[None, :, None, :] - means
         z /= sigmas
         scored = z * z
