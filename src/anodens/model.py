@@ -36,8 +36,8 @@ MODEL_FORMAT_VERSION = 2
 # tile's masked operands are built, used and dropped while in cache.  A pass
 # spreads its members over as few tiles as hold what fits TILE_BYTES (see
 # `members_per_tile`): two float64 members at D=30, H=500 with the mixture
-# head, four in a float32 pass, and a whole small ensemble at once, which
-# spares it the per-tile call overhead.  Timed at D=30, H=500 and 100
+# head, four in a float32 pass for backprop, and a whole small ensemble at
+# once, which spares it the per-tile call overhead.  Timed at D=30, H=500 and 100
 # members on a 2-core x86-64 host, 2 float64 members per tile was within a
 # few percent of the fastest of 1, 2 and 4 on training steps, single rows
 # and 512-row requests.  A scoring-only pass also runs ROW_TILE rows at a
@@ -146,11 +146,13 @@ def _mask_set(orderings, hidden_degrees, n_masks_per_ordering: int, seed: int) -
     orderings = np.asarray(orderings, dtype=np.int64)
     degrees = np.asarray(hidden_degrees, dtype=np.int64)
     position = np.repeat(orderings, n_masks_per_ordering, axis=0)  # (n_members, D)
+    input_masks = position[:, :, None] <= degrees[:, None, :]  # pos(d) <= deg(h)
     arrays = dict(
         orderings=orderings,
         hidden_degrees=degrees,
-        input_masks=position[:, :, None] <= degrees[:, None, :],
-        output_masks=degrees[:, :, None] < position[:, None, :],
+        input_masks=input_masks,
+        # hidden h feeds attribute d iff deg(h) < pos(d), the negation of the input rule
+        output_masks=np.logical_not(input_masks.transpose(0, 2, 1), order="C"),
     )
     for arr in arrays.values():
         arr.flags.writeable = False
@@ -491,16 +493,19 @@ def members_per_tile(params: MadeParams, dtype, scoring_rows: int | None = None)
     row.  A pass for backprop (`scoring_rows` None) masks the output weights,
     H*P*D, over ROW_TILE rows; a scoring row tile counts its own rows and
     masks the output weights or, where `_masks_activations` holds, the
-    activations under every attribute's output mask, D*H per row.
+    activations under every attribute's output mask, D*H per row.  A
+    scoring tile counts 8 bytes an item in either dtype: float32 scoring
+    tiles of twice the members raised peak memory and ran no faster.
     """
     h, p, d = params.n_hidden, params.head_width, params.n_attributes
+    itemsize = np.dtype(dtype).itemsize
     if scoring_rows is None:
         member_items = h * (p * d + ROW_TILE)
     elif _masks_activations(params, scoring_rows):
-        member_items = h * (d + 1) * scoring_rows
+        member_items, itemsize = h * (d + 1) * scoring_rows, 8
     else:
-        member_items = h * (p * d + scoring_rows)
-    fit = max(1, TILE_BYTES // (member_items * np.dtype(dtype).itemsize))
+        member_items, itemsize = h * (p * d + scoring_rows), 8
+    fit = max(1, TILE_BYTES // (member_items * itemsize))
     n_members = params.masks.n_members
     return -(-n_members // -(-n_members // fit))
 

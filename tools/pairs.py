@@ -1,15 +1,16 @@
 """Run the benchmark in alternating pairs on two commits and summarise the pairs as JSON.
 
     python tools/pairs.py PARENT [CHANGE] --seeds 2401-2410 --out BENCH_<parent>.json
-        [--workloads sweep-d30,sweep-d30-binary,score-d30] [--seconds 30]
-        [--traced-seed N] [--work DIR]
+        [--workloads sweep-d30,score-d30] [--traced-seed N] [--work DIR]
 
 PARENT and CHANGE are git revisions of this repository; CHANGE defaults to
 HEAD.  Each is unpacked from local git with `git archive REV | tar -x` into a
 fresh directory, so both sides run their committed files and nothing else.
-For each seed, and each workload in turn within it, both sides run
+For each seed, and each workload in turn within it (by default every
+workload BENCHMARK.json lists), both sides run
 `python3 bench/run.py --workload W --seed S --seconds T --trace 0` in their
-own tree, and the last line of the run, its JSON result, is kept.  The order
+own tree, T being BENCHMARK.json's `run_seconds`, and the last line of the
+run, its JSON result, is kept.  The order
 alternates ABBA: the first seed runs parent then change, the second change
 then parent, and so on, so a drift in the host's speed falls on both sides.
 
@@ -42,6 +43,7 @@ SCHEMA = "anodens-bench-pairs/1"
 SIDES = ("parent", "change")
 # the benchmark's rule for a claimed gain: wins in at least this share of pairs
 WIN_SHARE = 0.9
+# the least coverage of the sign-test interval around the median ratio
 CONFIDENCE = 0.95
 
 
@@ -53,12 +55,12 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def sign_test_interval(ratios, confidence: float = CONFIDENCE):
+def sign_test_interval(ratios):
     """(low, high, coverage): order statistics bracketing the median ratio.
 
     With n ratios sorted, [r_k, r_(n+1-k)] holds the median with probability
     1 - 2 P(Binomial(n, 1/2) < k) for any continuous distribution; k is the
-    largest that keeps that coverage at least `confidence`.  Too few pairs
+    largest that keeps that coverage at least CONFIDENCE.  Too few pairs
     to reach it give the whole range and the coverage it does have.
     """
     ordered = sorted(ratios)
@@ -68,7 +70,7 @@ def sign_test_interval(ratios, confidence: float = CONFIDENCE):
         return 1 - 2 * sum(math.comb(n, i) for i in range(k)) / 2**n
 
     k = 1
-    while k + 1 <= (n + 1) // 2 and coverage(k + 1) >= confidence:
+    while k + 1 <= (n + 1) // 2 and coverage(k + 1) >= CONFIDENCE:
         k += 1
     return ordered[k - 1], ordered[n - k], coverage(k)
 
@@ -171,13 +173,14 @@ def main(argv=None) -> int:
     parser.add_argument("change", nargs="?", default="HEAD")
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workloads", default="sweep-d30,sweep-d30-binary,score-d30")
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--workloads", help="comma-separated (default: BENCHMARK.json's)")
     parser.add_argument("--traced-seed", type=int)
     parser.add_argument("--work", help="directory for the two trees (default: a new temp dir)")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in bench["workloads"]])
 
     work = Path(args.work or tempfile.mkdtemp(prefix="anodens-pairs-"))
     trees = {side: work / side for side in SIDES}
@@ -190,7 +193,7 @@ def main(argv=None) -> int:
         firsts.append(order[0])
         for workload in workloads:
             for side in order:
-                result = run_bench(trees[side], workload, seed, args.seconds, 0)
+                result = run_bench(trees[side], workload, seed, seconds, 0)
                 runs[workload][side].append({"seed": seed, **result})
                 value = result["metrics"].get("rows_per_s", {}).get("value")
                 print(f"seed {seed} {workload} {side}: rows_per_s {value}", file=sys.stderr)
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
         "change": args.change,
         "change_commit": commits["change"],
         "command": "python3 bench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "order": "ABBA over seeds: the first side of each seed is in `first`; within a "
                  "seed the workloads run in turn, each as a pair in that order",
         "seeds": args.seeds,
@@ -217,7 +220,7 @@ def main(argv=None) -> int:
     if args.traced_seed is not None:
         report["traced_pair"] = {
             w: {"seed": args.traced_seed,
-                **{side: run_bench(trees[side], w, args.traced_seed, args.seconds, 1)
+                **{side: run_bench(trees[side], w, args.traced_seed, seconds, 1)
                    for side in SIDES}}
             for w in workloads
         }
