@@ -682,10 +682,10 @@ def backprop_log_density(
     Backward keeps hidden units innermost.  Hidden h feeds attribute d iff
     deg(h) < pos(d), the negation of the input rule pos(d) <= deg(h), so a
     tile's output masks as (M', D, H) are ~input_masks, read contiguously.
-    Each tile masks a (P, D, H) copy of w_out made once per call, and the
-    w_out gradient is masked in place, summed over the tile's members and
-    turned back to (H, P, D) once, at the end.  Masks are constants;
-    masked-out weights receive exactly zero gradient.
+    The w_out gradient is masked in place, summed over the tile's members
+    and turned back to (H, P, D) once, at the end; each tile then masks a
+    (P, D, H) copy of w_out, made once per call, in that gradient's buffer.
+    Masks are constants; masked-out weights receive exactly zero gradient.
     """
     x, b = cache.x, cache.x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
@@ -713,7 +713,8 @@ def backprop_log_density(
         member_w_out_grad = member_w_out_grad.reshape(n_members, p, d, h)
         member_w_out_grad *= output_masks
         member_w_out_grad.sum(axis=0, out=parts[2])
-        masked_w_out = (w_out_t * output_masks).reshape(n_members, p * d, h)
+        masked_w_out = np.multiply(w_out_t, output_masks, out=member_w_out_grad)
+        masked_w_out = masked_w_out.reshape(n_members, p * d, h)
         # the hidden gradient, masked in place by hidden > 0 (the ReLU's pre > 0
         # mask, NaN and -0.0 included), becomes the pre-activation gradient
         pre_grad = np.matmul(raw_grad, masked_w_out)

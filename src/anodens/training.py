@@ -193,6 +193,9 @@ def train(
             batch = LabeledBatch(train_normals[order[chunk]], train_anoms)
             value, grads = objective_and_gradient(params, batch, obj_cfg)
             adam_step(params.trainable(), grads, state, cfg)
+            # freed now, not held through the next step's forward, whose
+            # activations then need no heap beyond the previous step's
+            del grads
             epoch_values.append(value)
         objective = float(np.mean(epoch_values))
         val_scores = (

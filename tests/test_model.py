@@ -487,12 +487,14 @@ class TestContractionOrders:
     def test_scoring_member_tiles_are_even(self, monkeypatch, n, size):
         params = tiny_params(seed=56, n_orderings=1, n_masks=n)
         h, p, d = params.n_hidden, params.head_width, params.n_attributes
-        # one row masks its activations, a full row tile its output weights
+        # one row masks its activations, a full row tile its output weights;
+        # a scoring tile counts 8 bytes an item in float32 as in float64
         for rows, member_items in ((1, h * (d + 1)),
                                    (model.ROW_TILE, h * (p * d + model.ROW_TILE))):
             assert model._masks_activations(params, rows) == (rows == 1)
             monkeypatch.setattr(model, "TILE_BYTES", size * member_items * 8)
             tiles = model.tile_slices(n, model.members_per_tile(params, np.float64, rows))
+            assert model.members_per_tile(params, np.float32, rows) == tiles[0].stop
             assert len(tiles) == len(model.tile_slices(n, size))
             assert [t.start for t in tiles[1:]] == [t.stop for t in tiles[:-1]]
             assert tiles[0].start == 0 and tiles[-1].stop == n

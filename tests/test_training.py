@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,21 @@ class TestTrain:
             assert all(payload[name].dtype == np.float64 for name in params.trainable())
         loaded, _ = load_model(path)
         assert_same_model(loaded, params)
+
+    def test_each_step_frees_its_gradients_before_the_next(self, scenario_data, monkeypatch):
+        # held through the next step's forward, they split the heap its activations need
+        ds, bundle = scenario_data
+        previous, steps = [], []
+
+        def recording_step(params, batch, cfg):
+            steps.append(sum(ref() is not None for ref in previous))
+            value, grads = objective_and_gradient(params, batch, cfg)
+            previous[:] = [weakref.ref(arr) for arr in grads.values()]
+            return value, grads
+
+        monkeypatch.setattr(training_module, "objective_and_gradient", recording_step)
+        train(fresh_init(ds), ds, bundle, quick_cfg(max_epochs=2), 1000.0)
+        assert len(steps) > 2 and not any(steps)
 
     def test_rows_beyond_float32_range_rejected(self, scenario_data):
         ds, bundle = scenario_data
