@@ -33,7 +33,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 MODEL_FORMAT_VERSION = 2
 
 # Forward and backward run the ensemble a tile of members at a time, so a
-# tile's masked operands are built, used and dropped while in cache.  A pass
+# tile's masked operands, its raw outputs and its head's arrays (rows
+# innermost, see `_head`) are built, used and dropped while in cache.  A pass
 # spreads its members over as few tiles as hold what fits TILE_BYTES (see
 # `members_per_tile`): two float64 members at D=30, H=500 with the mixture
 # head, four in a float32 pass for backprop, and a whole small ensemble at
@@ -299,9 +300,10 @@ class ForwardCache:
     """Intermediates of a full-ensemble forward pass, kept for backprop.
 
     Every array has the dtype of x, the pass's compute dtype.  head_grad is
-    head-major, (M, B, P, D): attribute is the innermost, contiguous axis.
-    It is the head's local gradient, so backprop starts from it and never
-    reads the raw outputs, which a pass drops tile by tile.  Member tiles
+    (M, P, D, B), rows innermost, the layout of the raw outputs and of every
+    array of the head (see `_head`).  It is the head's local gradient, so
+    backprop starts from it and never reads the raw outputs, which a pass
+    drops tile by tile.  Member tiles
     fill every per-member array but member_weight in place.  A pass without
     backprop keeps x and log_density alone and leaves every per-member
     field None.
@@ -310,8 +312,8 @@ class ForwardCache:
     x: np.ndarray  # (B, D)
     log_density: np.ndarray  # (B,)
     hidden: np.ndarray | None = None  # (M, B, H) ReLU activations
-    # d(sum_d log_cond[m, b, d]) / d raw[m, b, j, d], per member and row
-    head_grad: np.ndarray | None = None  # (M, B, P, D)
+    # d(sum_d log_cond[m, d, b]) / d raw[m, j, d, b], per member and row
+    head_grad: np.ndarray | None = None  # (M, P, D, B)
     member_logdensity: np.ndarray | None = None  # (M, B)
     member_weight: np.ndarray | None = None  # (M, B) softmax of member log-densities
 
@@ -469,6 +471,10 @@ def _map_tiles(task, tiles: list):
             stopped = True
             cond.notify_all()
             cond.wait_for(lambda: running == 0)
+            # a pool thread may leave pool_thread after the pass, and a cancelled
+            # call stays queued until the pool reaches it; both hold these
+            # closures, so they must hold none of the pass's arrays by then
+            task = tiles = None
 
 
 def _masks_activations(params: MadeParams, n_rows: int) -> bool:
@@ -510,55 +516,85 @@ def members_per_tile(params: MadeParams, dtype, scoring_rows: int | None = None)
     return -(-n_members // -(-n_members // fit))
 
 
-def _masked_w_out(w_out: np.ndarray, output_masks: np.ndarray) -> np.ndarray:
-    """Head-major output weights (M', H, P, D) of a member tile, each under its mask.
+def _masked_w_out(w_out_t: np.ndarray, output_masks: np.ndarray, out=None) -> np.ndarray:
+    """Output weights (M', P, D, H) of a member tile, hidden innermost, each under its mask.
 
-    A bool mask that broadcasts over P > 1 head outputs is cast to the
-    weights' dtype first: one cast of the (M', H, D) tile costs less than
+    `w_out_t` is w_out as (P, D, H) and `output_masks` the tile's (M', D, H)
+    output masks, ~input_masks: hidden h feeds attribute d iff deg(h) <
+    pos(d).  A bool mask that broadcasts over P > 1 head outputs is cast to
+    the weights' dtype first: one cast of the (M', D, H) tile costs less than
     the multiply converting it once per output.  With P = 1 the multiply
-    reads it straight from bool.
+    reads it straight from bool.  Without `out` the product keeps its
+    operands' memory order (numpy's order K): contiguous operands give
+    hidden-innermost weights, and views of the head-major w_out and of
+    `MaskSet.output_masks` give weights laid out (M', H, P, D) in memory.
     """
-    if w_out.shape[1] > 1:
-        output_masks = output_masks.astype(w_out.dtype, copy=False)
-    return w_out * output_masks[:, :, None, :]
+    if w_out_t.shape[0] > 1:
+        output_masks = output_masks.astype(w_out_t.dtype, copy=False)
+    return np.multiply(w_out_t, output_masks[:, None], out=out)
 
 
-def _attribute_major_w_out(params: MadeParams, n_rows: int) -> np.ndarray | None:
-    """w_out as C-contiguous (D, H, P) for a row tile that masks its activations, else None."""
-    if not _masks_activations(params, n_rows):
-        return None
-    return np.ascontiguousarray(params.w_out.transpose(2, 0, 1))
+def _hidden_innermost(w_out: np.ndarray) -> np.ndarray:
+    """A C-contiguous (P, D, H) copy of head-major (H, P, D) output weights."""
+    return np.ascontiguousarray(w_out.transpose(1, 2, 0))
+
+
+def _rows_major(dtype, n_outputs: int, n_rows: int) -> bool:
+    """Whether a tile's output GEMM runs hidden @ masked weights, rows outermost.
+
+    Raw outputs are kept rows innermost, (P*D, B), which `masked (P*D, H) @
+    hidden^T` gives directly.  The rows-major `hidden (B, H) @ masked
+    (H, P*D)` plus a copy of its (B, P*D) result pays only in float32 with
+    fewer outputs than rows.  Median ms of masking, the GEMM and any copy
+    for one tile, BLAS on one thread, shared 2-core x86-64 host, H=500, D=30,
+    at 3/20/67/256 rows, rows innermost against rows-major:
+
+        float32, P*D=30, 7 members: 0.067/0.128/0.525/1.320 against
+            0.081/0.156/0.454/1.142
+        float32, P*D=270, 4 members: 0.360/0.679/1.496/3.415 against
+            0.540/0.924/1.617/3.557
+        float64, either width: rows-major 3-35% slower at every row count.
+    """
+    return dtype == np.float32 and n_outputs < n_rows
 
 
 def _members_forward(
-    params: MadeParams, x: np.ndarray, members: slice, out=None, w_out_by_attribute=None
+    params: MadeParams, x: np.ndarray, members: slice, w_out_t: np.ndarray, out=None
 ) -> np.ndarray:
-    """raw (M', B, P, D) outputs of the members in `members`, in the dtype of `params`.
+    """raw (M', P, D, B) outputs of the members in `members`, rows innermost.
 
-    With `out`, a C-contiguous (M', B, H) array, the ReLU activations are
-    computed in it and kept: a pass for backprop, which masks the output
-    weights.  With `w_out_by_attribute` (see `_attribute_major_w_out`) a
-    tile of few rows masks its activations instead.  Biases and the ReLU
-    apply in place.
+    `w_out_t` is the call's `_hidden_innermost` copy of w_out, in the dtype
+    of `params`.  With `out`, a C-contiguous (M', B, H) array, the ReLU
+    activations are computed in it and kept: a pass for backprop, which
+    masks the output weights.  Without it a tile of few rows (see
+    `_masks_activations`) masks its activations instead.  Biases and the
+    ReLU apply in place.
     """
     input_masks = params.masks.input_masks[members]
-    output_masks = params.masks.output_masks[members]
     n_members, b = members.stop - members.start, x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
     hidden = np.matmul(x, params.w_in * input_masks, out=out)
     hidden += params.b_in
     np.maximum(hidden, 0.0, out=hidden)
-    if w_out_by_attribute is not None:
+    if out is None and _masks_activations(params, b):
         # each attribute's copy of the activations under its output mask,
         # (M', D, B, H), times that attribute's (H, P) weights: each BLAS call
         # covers one member and attribute, so no result depends on the tiling
-        masked_hidden = hidden[:, None] * output_masks.transpose(0, 2, 1)[:, :, None, :]
-        raw = np.matmul(masked_hidden, w_out_by_attribute)
-        return np.add(raw.transpose(0, 2, 3, 1), params.b_out, order="C")
-    masked_w_out = _masked_w_out(params.w_out, output_masks)
-    raw = np.matmul(hidden, masked_w_out.reshape(n_members, h, p * d))
-    raw += params.b_out.reshape(p * d)
-    return raw.reshape(n_members, b, p, d)
+        masked_hidden = hidden[:, None] * np.logical_not(input_masks)[:, :, None, :]
+        raw = np.matmul(masked_hidden, w_out_t.transpose(1, 2, 0))  # (M', D, B, P)
+        return np.add(raw.transpose(0, 3, 1, 2), params.b_out[..., None], order="C")
+    b_out = params.b_out.reshape(p * d, 1)
+    if _rows_major(x.dtype, p * d, b):
+        # views of w_out and of the (M', H, D) output masks give (M', H, P, D) weights
+        output_masks = params.masks.output_masks[members].transpose(0, 2, 1)
+        masked_w_out = _masked_w_out(params.w_out.transpose(1, 2, 0), output_masks)
+        raw = np.matmul(hidden, masked_w_out.transpose(0, 3, 1, 2).reshape(n_members, h, p * d))
+        raw = np.add(raw.transpose(0, 2, 1), b_out, order="C")
+    else:
+        masked_w_out = _masked_w_out(w_out_t, np.logical_not(input_masks))
+        raw = np.matmul(masked_w_out.reshape(n_members, p * d, h), hidden.transpose(0, 2, 1))
+        raw += b_out
+    return raw.reshape(n_members, p, d, b)
 
 
 def _scale_link(scales: np.ndarray):
@@ -576,10 +612,12 @@ def _mixture_link(raw: np.ndarray, k: int):
     return log_mix, raw[..., k : 2 * k, :], _scale_link(raw[..., 2 * k :, :])[0]
 
 
-def _head(params: MadeParams, x: np.ndarray, raw: np.ndarray, grad=None) -> np.ndarray:
-    """log_cond (M', B, D) of raw outputs (M', B, P, D).
+def _head(params: MadeParams, x_t: np.ndarray, raw: np.ndarray, grad=None) -> np.ndarray:
+    """log_cond (M', D, B) of raw outputs (M', P, D, B), given the rows as x_t (D, B).
 
-    With `grad`, an (M', B, P, D) array, the head's local gradient
+    Rows are the innermost axis of every array here, so each elementwise op
+    and the logsumexps over the K components, an outer axis, run inner loops
+    of B.  With `grad`, an (M', P, D, B) array, the head's local gradient
     d(sum_d log_cond) / d raw is written into it: backprop multiplies it by
     each member's upstream gradient.
 
@@ -591,35 +629,35 @@ def _head(params: MadeParams, x: np.ndarray, raw: np.ndarray, grad=None) -> np.n
     """
     if params.head == GAUSSIAN_MIXTURE:
         k = params.n_components
-        logits, means, scales = raw[..., :k, :], raw[..., k : 2 * k, :], raw[..., 2 * k :, :]
+        logits, means, scales = raw[:, :k], raw[:, k : 2 * k], raw[:, 2 * k :]
         sigmas, e = _scale_link(scales)
-        z = x[None, :, None, :] - means
+        z = x_t - means
         z /= sigmas
         scored = z * z
         scored *= 0.5
         scored += np.log(sigmas)
-        np.subtract(logits, scored, out=scored)  # (M', B, K, D)
-        resp, resp_total, lse_scored = _shifted_exp(scored, axis=-2)
-        mix, mix_total, lse_logits = _shifted_exp(logits, axis=-2)
-        log_cond = lse_scored[..., 0, :] - lse_logits[..., 0, :] - 0.5 * LOG_2PI
+        np.subtract(logits, scored, out=scored)  # (M', K, D, B)
+        resp, resp_total, lse_scored = _shifted_exp(scored, axis=1)
+        mix, mix_total, lse_logits = _shifted_exp(logits, axis=1)
+        log_cond = lse_scored[:, 0] - lse_logits[:, 0] - 0.5 * LOG_2PI
         if grad is not None:
             resp /= resp_total
             mix /= mix_total
-            np.subtract(resp, mix, out=grad[..., :k, :])
+            np.subtract(resp, mix, out=grad[:, :k])
             resp /= sigmas  # resp / sigma: the mean's and the scale's common factor
-            np.multiply(resp, z, out=grad[..., k : 2 * k, :])
-            g_scale = grad[..., 2 * k :, :]
+            np.multiply(resp, z, out=grad[:, k : 2 * k])
+            g_scale = grad[:, 2 * k :]
             np.multiply(z, z, out=g_scale)
             g_scale -= 1.0
             g_scale *= resp
             # scale raw feeds sigma through a softplus link
             g_scale *= _sigmoid_of(scales, e)
         return log_cond
-    logit = raw[..., 0, :]  # (M', B, D)
+    logit = raw[:, 0]  # (M', D, B)
     if grad is not None:
-        np.subtract(x, sigmoid(logit), out=grad[..., 0, :])
+        np.subtract(x_t, sigmoid(logit), out=grad[:, 0])
     # stable log-masses: log(phi) = -softplus(-t), log(1-phi) = -softplus(t)
-    return -(x * _softplus(-logit) + (1.0 - x) * _softplus(logit))
+    return -(x_t * _softplus(-logit) + (1.0 - x_t) * _softplus(logit))
 
 
 def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = True) -> ForwardCache:
@@ -629,7 +667,9 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
     any other rows a float64 one.  Members run in tiles of
     `members_per_tile`, up to `tile_workers()` tiles at once, so each tile's
     masked weights are built, used and dropped while in cache; each tile
-    writes its members' share of arrays allocated before it.  With
+    writes its members' share of arrays allocated before it.  The
+    hidden-innermost copy of w_out that the tiles mask is made once per
+    call, as in `backprop_log_density`.  With
     `for_backprop` the hidden activations and the head's local gradient are
     kept at full (M, B, ...) size.  Without it rows run in tiles of ROW_TILE
     and only x and log_density are kept, so memory does not grow with B
@@ -643,12 +683,13 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
     # a Python float, so it cannot promote a float32 pass to float64
     log_n_members = float(np.log(n_members))
     hidden = np.empty((n_members, b, h), dtype=x.dtype) if for_backprop else None
-    head_grad = np.empty((n_members, b, p, d), dtype=x.dtype) if for_backprop else None
+    head_grad = np.empty((n_members, p, d, b), dtype=x.dtype) if for_backprop else None
+    w_out_t = _hidden_innermost(params.w_out)
 
-    def tile(x_rows, member_logdensity, w_out_by_attribute, members: slice) -> None:
+    def tile(x_rows, x_t, member_logdensity, members: slice) -> None:
         out, grad = (hidden[members], head_grad[members]) if for_backprop else (None, None)
-        raw = _members_forward(params, x_rows, members, out, w_out_by_attribute)
-        _head(params, x_rows, raw, grad).sum(axis=-1, out=member_logdensity[members])
+        raw = _members_forward(params, x_rows, members, w_out_t, out)
+        _head(params, x_t, raw, grad).sum(axis=1, out=member_logdensity[members])
 
     # a scoring row tile's member tiles are sized for its rows; no log-density depends on them
     log_density = np.empty(b, dtype=x.dtype)
@@ -656,9 +697,8 @@ def forward_ensemble(params: MadeParams, x: np.ndarray, for_backprop: bool = Tru
         n_rows = rows.stop - rows.start
         scoring_rows = None if for_backprop else n_rows
         member_tiles = tile_slices(n_members, members_per_tile(params, x.dtype, scoring_rows))
-        w_out_by_attribute = None if for_backprop else _attribute_major_w_out(params, n_rows)
         member_logdensity = np.empty((n_members, n_rows), dtype=x.dtype)
-        task = partial(tile, x[rows], member_logdensity, w_out_by_attribute)
+        task = partial(tile, x[rows], np.ascontiguousarray(x[rows].T), member_logdensity)
         for _ in _map_tiles(task, member_tiles):
             pass
         total = _logsumexp(member_logdensity, axis=0)  # (rows,)
@@ -676,23 +716,24 @@ def backprop_log_density(
 
     Runs in the dtype of cache.x over the member tiles of the forward pass,
     up to `tile_workers()` at once, and returns float64 arrays.  Each tile's
-    raw-output gradient is its members' upstream gradient times the head's
-    local gradient the forward pass kept, whatever the head.
+    raw-output gradient, (M', P*D, B) with rows innermost, is its members'
+    upstream gradient times the head's local gradient the forward pass
+    kept, whatever the head.
 
-    Backward keeps hidden units innermost.  Hidden h feeds attribute d iff
-    deg(h) < pos(d), the negation of the input rule pos(d) <= deg(h), so a
-    tile's output masks as (M', D, H) are ~input_masks, read contiguously.
-    The w_out gradient is masked in place, summed over the tile's members
-    and turned back to (H, P, D) once, at the end; each tile then masks a
-    (P, D, H) copy of w_out, made once per call, in that gradient's buffer.
-    Masks are constants; masked-out weights receive exactly zero gradient.
+    Backward keeps hidden units innermost.  A tile's output masks as
+    (M', D, H) are ~input_masks, read contiguously.  The w_out gradient is
+    the NN GEMM raw_grad (P*D, B) @ hidden (B, H), masked in place, summed
+    over the tile's members and turned back to (H, P, D) once, at the end;
+    each tile then masks the call's (P, D, H) copy of w_out with
+    `_masked_w_out`, as forward does, in that gradient's buffer.  Masks are
+    constants; masked-out weights receive exactly zero gradient.
     """
     x, b = cache.x, cache.x.shape[0]
     h, d, p = params.n_hidden, params.n_attributes, params.head_width
     params = params.astype(x.dtype)
     # d(obj)/d(member_ld), (M, B)
     upstream = cache.member_weight * np.asarray(coeff, dtype=x.dtype)[None, :]
-    w_out_t = np.ascontiguousarray(params.w_out.transpose(1, 2, 0))  # (P, D, H)
+    w_out_t = _hidden_innermost(params.w_out)  # (P, D, H)
     trainable = {**params.trainable(), "w_out": w_out_t}
 
     def tile_grads(members: slice) -> list[np.ndarray]:
@@ -701,23 +742,22 @@ def backprop_log_density(
         parts = [np.empty_like(arr) for arr in trainable.values()]
         hidden = cache.hidden[members]
         input_masks = params.masks.input_masks[members]
-        output_masks = np.logical_not(input_masks)[:, None]  # (M', 1, D, H)
+        output_masks = np.logical_not(input_masks)  # (M', D, H)
         if p > 1:
             # cast once, as `_masked_w_out` does: it broadcasts over P outputs
             output_masks = output_masks.astype(x.dtype)
-        raw_grad = upstream[members, :, None, None] * cache.head_grad[members]  # (M', B, P, D)
-        raw_grad.sum(axis=(0, 1), out=parts[3])
+        raw_grad = upstream[members, None, None, :] * cache.head_grad[members]  # (M', P, D, B)
+        raw_grad.sum(axis=(0, 3), out=parts[3])
         n_members = hidden.shape[0]
-        raw_grad = raw_grad.reshape(n_members, b, p * d)
-        member_w_out_grad = np.matmul(raw_grad.transpose(0, 2, 1), hidden)
-        member_w_out_grad = member_w_out_grad.reshape(n_members, p, d, h)
-        member_w_out_grad *= output_masks
+        raw_grad = raw_grad.reshape(n_members, p * d, b)
+        member_w_out_grad = np.matmul(raw_grad, hidden).reshape(n_members, p, d, h)
+        member_w_out_grad *= output_masks[:, None]
         member_w_out_grad.sum(axis=0, out=parts[2])
-        masked_w_out = np.multiply(w_out_t, output_masks, out=member_w_out_grad)
+        masked_w_out = _masked_w_out(w_out_t, output_masks, member_w_out_grad)
         masked_w_out = masked_w_out.reshape(n_members, p * d, h)
         # the hidden gradient, masked in place by hidden > 0 (the ReLU's pre > 0
         # mask, NaN and -0.0 included), becomes the pre-activation gradient
-        pre_grad = np.matmul(raw_grad, masked_w_out)
+        pre_grad = np.matmul(raw_grad.transpose(0, 2, 1), masked_w_out)
         pre_grad *= hidden > 0.0
         member_w_in_grad = np.matmul(x.T[None, :, :], pre_grad)
         member_w_in_grad *= input_masks
@@ -745,7 +785,7 @@ def forward_conditionals(params: MadeParams, x: np.ndarray, mask_index: int) -> 
         raise ValueError(f"mask index {mask_index} out of range [0, {masks.n_members})")
     params = params.astype(x.dtype)
     member = slice(mask_index, mask_index + 1)
-    raw = _members_forward(params, x, member, None, _attribute_major_w_out(params, 1))[0, 0]
+    raw = _members_forward(params, x, member, _hidden_innermost(params.w_out))[0, :, :, 0]
     if params.head == GAUSSIAN_MIXTURE:
         log_mix, means, sigmas = _mixture_link(raw, params.n_components)
         return ConditionalParams(

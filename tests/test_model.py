@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -418,12 +419,15 @@ class TestContractionOrders:
         rtol = 1e-12 if dtype == np.float64 else 1e-5
         for n_rows in range(1, params.head_width + 2):
             x = self.rows(head, n_rows, n_attributes, dtype, n_rows)
-            got = {}
-            for masks_activations in (True, False):
+            got = []
+            # masked activations, then masked weights with either GEMM orientation
+            for masks_activations, rows_major in ((True, False), (False, False), (False, True)):
                 self.force(monkeypatch, masks_activations)
-                got[masks_activations] = log_density_batch(params, x)
-                assert got[masks_activations].dtype == dtype
-            np.testing.assert_allclose(got[True], got[False], rtol=rtol, atol=0, err_msg=n_rows)
+                monkeypatch.setattr(model, "_rows_major", lambda *args: rows_major)
+                got.append(log_density_batch(params, x))
+                assert got[-1].dtype == dtype
+            for other in got[1:]:
+                np.testing.assert_allclose(other, got[0], rtol=rtol, atol=0, err_msg=n_rows)
 
     def test_few_rows_never_build_masked_output_weights(self, monkeypatch):
         params = tiny_params(seed=51, n_attributes=8, n_hidden=32, n_components=3, noise=0.5)
@@ -466,10 +470,10 @@ class TestContractionOrders:
                             lambda *args: built.append(1) or masked_w_out(*args))
         for want, got in zip(expected, arrays()):
             assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
-        # built once per member tile by each of: the single-row forward and the
-        # objective's forward; backward masks a hidden-innermost copy of w_out
+        # built once per member tile by each of: the single-row forward, the
+        # objective's forward and its backward
         n_tiles = len(model.tile_slices(5, model.members_per_tile(params, dtype)))
-        assert len(built) == 2 * n_tiles
+        assert len(built) == 3 * n_tiles
 
     @pytest.mark.parametrize("n, fit", [(100, 33), (100, 2), (7, 3), (13, 7), (5, 5), (3, 8)])
     def test_member_tiles_are_as_many_as_fit_gives_and_balanced(self, monkeypatch, n, fit):
@@ -550,14 +554,65 @@ class TestBoolMasks:
         for want, got in zip(arrays(float_params), arrays(params), strict=True):
             assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
 
-    @pytest.mark.parametrize("p", [1, 9])
+
+class TestMaskedOutputWeights:
+    """One helper masks the output weights, hidden innermost, for forward and backward."""
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_masked_output_weights_keep_the_pass_dtype(self, p, dtype):
-        w_out = np.random.default_rng(1).normal(size=(5, p, 3)).astype(dtype)
-        masks = np.random.default_rng(2).uniform(size=(2, 5, 3)) < 0.5
-        masked = model._masked_w_out(w_out, masks)
-        assert masked.dtype == dtype
-        assert masked.tobytes() == (w_out * masks.astype(dtype)[:, :, None, :]).tobytes()
+    def test_weights_follow_the_connectivity_rule_hidden_innermost(
+        self, tmp_path, source, head, dtype
+    ):
+        params = tiny_params(head=head, seed=57, n_attributes=5, n_hidden=12, n_components=3,
+                             n_orderings=2, n_masks=3, noise=0.5)
+        if source == "loaded":
+            path = str(tmp_path / "model.bin")
+            save_model(path, params)
+            params = load_model(path)[0]
+        params = params.astype(dtype)
+        masks, members = params.masks, slice(1, 5)
+        position = np.repeat(masks.orderings, masks.n_masks_per_ordering, axis=0)
+        expected = np.empty((4, params.head_width, 5, 12), dtype=dtype)
+        for i, m in enumerate(range(members.start, members.stop)):
+            for d in range(5):
+                for h in range(12):
+                    # hidden h feeds attribute d iff deg(h) < pos(d); a cut weight is w * 0
+                    feeds = dtype(masks.hidden_degrees[m, h] < position[m, d])
+                    expected[i, :, d, h] = params.w_out[h, :, d] * feeds
+        w_out_t = model._hidden_innermost(params.w_out)
+        got = model._masked_w_out(w_out_t, np.logical_not(masks.input_masks[members]))
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        # the rows-major GEMM's operand: views of w_out and of the output masks
+        # give the same weights, laid out (M', H, P, D)
+        rows_major = model._masked_w_out(params.w_out.transpose(1, 2, 0),
+                                         masks.output_masks[members].transpose(0, 2, 1))
+        assert rows_major.transpose(0, 3, 1, 2).flags.c_contiguous
+        assert np.ascontiguousarray(rows_major).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("head", [GAUSSIAN_MIXTURE, BERNOULLI])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_and_backward_mask_once_per_member_tile(self, monkeypatch, head, dtype):
+        # 5 members in tiles of 2, 2 and 1; a float32 Bernoulli pass of 67 rows
+        # (P*D = 8) runs its output GEMM rows-major, every other pass here not
+        params = tiny_params(head=head, seed=58, n_attributes=8, n_hidden=32, n_components=3,
+                             n_orderings=5, n_masks=1, noise=0.5)
+        monkeypatch.setattr(model, "members_per_tile", lambda *args: 2)
+        x = TestContractionOrders.rows(head, 67, 8, dtype, 58)
+        built = []
+        masked_w_out = model._masked_w_out
+        monkeypatch.setattr(model, "_masked_w_out",
+                            lambda *args: built.append(1) or masked_w_out(*args))
+        cache = forward_ensemble(params, x)
+        assert len(built) == 3
+        model.backprop_log_density(params, cache, np.ones(67))
+        assert len(built) == 6
+        # scoring masks once per member tile of each row tile it does not run
+        # on its activations: with P = 9 the 2-row tile runs on them
+        monkeypatch.setattr(model, "ROW_TILE", 5)
+        log_density_batch(params, x[:7])
+        assert len(built) == 6 + (3 if head == GAUSSIAN_MIXTURE else 6)
 
 
 class TestComputeDtype:
@@ -585,7 +640,7 @@ class TestComputeDtype:
         cache = forward_ensemble(params, x)
         shapes = {name: arr.shape for name, arr in vars(cache).items()}
         assert shapes == dict(x=(b, d), log_density=(b,), hidden=(m, b, h),
-                              head_grad=(m, b, p, d), member_logdensity=(m, b),
+                              head_grad=(m, p, d, b), member_logdensity=(m, b),
                               member_weight=(m, b))
         total = sum(arr.nbytes for arr in vars(cache).values())
         assert total == np.dtype(dtype).itemsize * (m * b * (h + p * d + 2) + b * d + b)
@@ -1131,6 +1186,33 @@ class TestTileWorkers:
         # work queued behind the pass's pool work has run, and no pool thread ran a tile
         assert all(pool.submit(bool).result(timeout=10) is False for _ in range(2))
         assert threads == [threading.current_thread()] * 5
+
+    def test_a_finished_pass_holds_no_reference_to_its_task(self, monkeypatch):
+        # the pool thread is busy, so the pass's pool call stays queued, cancelled,
+        # after the pass; what the task holds (a pass's arrays) must be free by then
+        self.force_workers(monkeypatch, 2)
+        pool, started, release = model._tile_pool(1), threading.Event(), threading.Event()
+
+        def block():
+            started.set()
+            return release.wait(10)
+
+        blocker = pool.submit(block)
+
+        class Task:
+            def __call__(self, tile):
+                return tile
+
+        task = Task()
+        held = weakref.ref(task)
+        try:
+            assert started.wait(10)
+            assert list(model._map_tiles(task, list(range(3)))) == list(range(3))
+            del task
+            assert held() is None
+        finally:
+            release.set()
+        assert blocker.result(timeout=10)
 
     def test_paper_shape_matches_across_worker_counts(self, monkeypatch):
         # 100 members at D=30, H=500: a float32 training pass runs 25 tiles, which
