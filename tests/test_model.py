@@ -554,6 +554,15 @@ class TestBoolMasks:
         for want, got in zip(arrays(float_params), arrays(params), strict=True):
             assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
 
+    @pytest.mark.parametrize("p", [1, 9])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_masked_output_weights_keep_the_pass_dtype(self, p, dtype):
+        w_out_t = np.random.default_rng(1).normal(size=(p, 3, 5)).astype(dtype)
+        masks = np.random.default_rng(2).uniform(size=(2, 3, 5)) < 0.5
+        masked = model._masked_w_out(w_out_t, masks)
+        assert masked.dtype == dtype
+        assert masked.tobytes() == (w_out_t * masks.astype(dtype)[:, None]).tobytes()
+
 
 class TestMaskedOutputWeights:
     """One helper masks the output weights, hidden innermost, for forward and backward."""
