@@ -380,26 +380,21 @@ if hasattr(os, "register_at_fork"):
 def _map_tiles(task, tiles: list):
     """task(tile) for each tile, yielded in tile order, up to `tile_workers()` tiles at once.
 
-    Tiles stream through the pool's workers - 1 threads and the calling
-    thread: the pool starts on the first tiles and the caller on the next,
-    and from then on each thread takes the next tile no one has taken, so
-    none waits for a slower tile before taking another.  A tile is taken
-    only while it is fewer than 2 * workers tiles ahead of the next result
-    to yield, which bounds the results held; the pool runs on while a result
-    is yielded.  A tile's exception reaches the caller once no tile runs.
-    Closing the generator stops the taking, cancels pool work not yet
-    started and waits for the tiles that have.  The caller runs any first
-    tile a busy pool has not started, so it can always finish a pass alone.
-    With one worker this is map(task, tiles).
+    The caller and up to workers - 1 pool threads each take the next tile
+    no one has taken, so none waits for a slower tile, and a pool thread
+    that starts late joins the pass where it stands.  A tile is taken only
+    while it is fewer than 2 * workers tiles ahead of the next result to
+    yield, which bounds the results held; the pool runs on while a result
+    is yielded.  Tiles are taken in order, so the caller can always take
+    the next result's tile and finish a pass alone; with one worker no pool
+    is made.  A tile's exception reaches the caller once no tile runs.
+    Closing the generator stops the taking, cancels pool calls not yet
+    started and waits for the tiles that have.
     """
     workers = tile_workers().workers
-    if workers == 1:
-        yield from map(task, tiles)
-        return
     cond = threading.Condition()
     results, failures = {}, []  # results by tile index until yielded; tiles' exceptions
-    pooled = min(workers - 1, len(tiles) - 1)  # the pool's first tiles
-    taken, running, yielded, stopped = pooled, 0, 0, False
+    taken, running, yielded, stopped = 0, 0, 0, False
 
     def take() -> int | None:
         """The next tile, counted as running, if it may be taken now; cond held."""
@@ -426,36 +421,30 @@ def _map_tiles(task, tiles: list):
             running -= 1
             cond.notify_all()
 
-    def pool_thread(tile: int | None) -> None:
-        nonlocal running
-        with cond:
-            if stopped:
-                return
-            running += 1
-        while tile is not None:
-            run(tile)
+    def pool_thread() -> None:
+        """Take and run tiles until the pass stops or every tile is taken; cond not held."""
+        while True:
             with cond:
-                while (tile := take()) is None and not stopped and taken < len(tiles):
+                while (tile := take()) is None:
+                    if stopped or taken == len(tiles):
+                        return
                     cond.wait()  # the window is full
+            run(tile)
 
     def caller_tile(i: int) -> int | None:
         """A tile for the caller to run while result i is not ready; None once it is."""
-        nonlocal running
         with cond:
             while True:
                 if failures:
                     raise failures[0]  # once the finally below has waited out every tile
                 if i in results:
                     return None
-                tile = take()
-                # a busy pool may not have started tile i; then the caller runs it
-                if tile is None and i < pooled and futures[i].cancel():
-                    tile, running = i, running + 1
-                if tile is not None:
+                if (tile := take()) is not None:
                     return tile
                 cond.wait()
 
-    futures = [_tile_pool(workers - 1).submit(pool_thread, i) for i in range(pooled)]
+    futures = [_tile_pool(workers - 1).submit(pool_thread)
+               for _ in range(min(workers, len(tiles)) - 1)]
     try:
         for i in range(len(tiles)):
             with cond:

@@ -1077,66 +1077,83 @@ class TestTileWorkers:
         self.force_workers(monkeypatch, 3)
         params = tiny_params(seed=42, n_orderings=6, n_masks=1)
         self.small_tiles(monkeypatch, params, 1)
-        running, lock, tile_1_started = [0], threading.Lock(), threading.Event()
+        caller, lock, running, pool_threads = threading.current_thread(), threading.Lock(), [0], []
+        slow_started = threading.Event()
         members_forward = model._members_forward
 
         def tile(params, x, members, *out):
+            thread = threading.current_thread()
             with lock:
                 running[0] += 1
+                if thread is not caller and thread not in pool_threads:
+                    pool_threads.append(thread)
+                    first_of = pool_threads.index(thread)  # 0: fails, 1: runs on slowly
+                else:
+                    first_of = None
             try:
-                # the pool gets tiles 0 and 1 first; tile 0 fails while tile 1 runs on
-                if members.start == 0:
-                    tile_1_started.wait(10)
-                    raise RuntimeError(f"tile 0 failed in {threading.current_thread().name}")
-                if members.start == 1:
-                    tile_1_started.set()
-                time.sleep(0.2 if members.start == 1 else 0.01)
+                # the first pool thread's first tile fails while the other pool
+                # thread's first tile runs on; the caller waits for that one to start
+                if first_of == 0:
+                    assert slow_started.wait(10)
+                    raise RuntimeError(f"tile {members.start} failed in {thread.name}")
+                if first_of == 1:
+                    slow_started.set()
+                else:
+                    assert slow_started.wait(10)
+                time.sleep(0.2 if first_of == 1 else 0.01)
                 return members_forward(params, x, members, *out)
             finally:
                 with lock:
                     running[0] -= 1
 
         monkeypatch.setattr(model, "_members_forward", tile)
-        with pytest.raises(RuntimeError, match=r"^tile 0 failed in anodens-tile"):
+        with pytest.raises(RuntimeError, match=r"^tile \d failed in anodens-tile"):
             log_density_batch(params, np.full((3, 3), 0.5))
         assert running[0] == 0
 
     @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "late-pool"])
     def test_caller_or_late_pool_tile_exception_waits_for_running_tiles(self, monkeypatch,
                                                                          in_caller):
-        # the pool starts on tiles 0 and 1 and the caller on tile 2: the caller's
-        # tile fails while tile 0 runs, or pool tile 0 fails once tile 3 is taken
+        # the first tile the caller runs, or the first a pool thread runs, fails once
+        # the next tile to start, a slow one on another thread, runs
         self.force_workers(monkeypatch, 3)
-        failing, waited = (2, 0) if in_caller else (0, 3)
-        lock, running, seen = threading.Lock(), [0], []
-        started = [threading.Event() for _ in range(8)]
+        caller, lock, running, seen = threading.current_thread(), threading.Lock(), [0], []
+        failing_started, waited_started = threading.Event(), threading.Event()
 
         def task(tile):
+            thread = threading.current_thread()
             with lock:
                 running[0] += 1
-            started[tile].set()
+                fails = not failing_started.is_set() and (thread is caller) == in_caller
+                waited = failing_started.is_set() and not waited_started.is_set()
+                if fails:
+                    failing_started.set()
+                elif waited:
+                    waited_started.set()
             try:
-                if tile == failing:
-                    assert started[waited].wait(10)
-                    seen.extend([threading.current_thread(), running[0]])
+                if fails:
+                    assert waited_started.wait(10)
+                    seen.extend([thread, running[0]])
                     raise RuntimeError(f"tile {tile} failed")
-                time.sleep(0.3 if tile == waited else 0.01)
+                if thread is caller:
+                    assert failing_started.wait(10)  # a pool thread's tile, in late-pool
+                time.sleep(0.3 if waited else 0.01)
                 return tile
             finally:
                 with lock:
                     running[0] -= 1
 
-        with pytest.raises(RuntimeError, match=f"^tile {failing} failed$"):
+        with pytest.raises(RuntimeError, match=r"^tile \d failed$"):
             list(model._map_tiles(task, list(range(8))))
         assert running[0] == 0
         thread, running_at_failure = seen
-        assert (thread is threading.current_thread()) == in_caller
+        assert (thread is caller) == in_caller
         assert running_at_failure >= 2
 
     def test_tiles_stream_in_order_within_twice_the_workers(self, monkeypatch):
         self.force_workers(monkeypatch, 3)
-        lock, running, most = threading.Lock(), [0], [0]
-        received, ahead, finished, threads, slow = [], [], [], {}, {0: 0.3}
+        caller, lock, running, most = threading.current_thread(), threading.Lock(), [0], [0]
+        received, ahead, finished, threads = [], [], [], {}
 
         def task(tile):
             with lock:
@@ -1144,11 +1161,14 @@ class TestTileWorkers:
                 most[0] = max(most[0], running[0])
                 ahead.append(tile - len(received))  # tiles past the next result to yield
                 threads[tile] = threading.current_thread()
-            time.sleep(slow.get(tile, 0.01))
+            time.sleep(delay(tile))
             with lock:
                 running[0] -= 1
                 finished.append(tile)
             return tile * 10
+
+        def delay(tile):
+            return 0.3 if tile == 0 else 0.01
 
         for result in model._map_tiles(task, list(range(12))):
             received.append(result)
@@ -1157,12 +1177,22 @@ class TestTileWorkers:
         assert most[0] <= 3
         # while slow tile 0 runs, the others run on up to 5 tiles ahead of it
         assert max(ahead) == 5 and finished.index(0) > 0
-        caller = threading.current_thread()
         assert caller in [threads[tile] for tile in range(6)]
         assert caller not in [threads[tile] for tile in range(6, 12)]
-        # closed while pool tile 1 runs: the close waits for it, and no tile starts after
-        slow.clear()
-        slow[1] = 0.5
+        # closed while a pool tile runs: the close waits for it, and no tile starts
+        # after.  task now sleeps by the delay below: every pool tile but tile 0 is
+        # slow, and the caller's tiles wait for one to start
+        pool_tile_started = threading.Event()
+
+        def delay(tile):
+            if threading.current_thread() is caller:
+                assert pool_tile_started.wait(10)
+                return 0.01
+            if tile > 0:
+                pool_tile_started.set()
+                return 0.5
+            return 0.01
+
         tiles = model._map_tiles(task, list(range(12)))
         assert next(tiles) == 0 and running[0] > 0
         tiles.close()
@@ -1195,6 +1225,56 @@ class TestTileWorkers:
         # work queued behind the pass's pool work has run, and no pool thread ran a tile
         assert all(pool.submit(bool).result(timeout=10) is False for _ in range(2))
         assert threads == [threading.current_thread()] * 5
+
+    def test_a_late_pool_thread_joins_the_pass(self, monkeypatch):
+        # the one pool thread is busy until the caller runs tile 0; it then takes
+        # the next tiles of the pass, though the caller took the first
+        self.force_workers(monkeypatch, 2)
+        caller = threading.current_thread()
+        pool, started, release = model._tile_pool(1), threading.Event(), threading.Event()
+
+        def block():
+            started.set()
+            return release.wait(10)
+
+        blocker = pool.submit(block)
+        threads = []
+
+        def task(tile):
+            if tile == 0:
+                release.set()
+            threads.append(threading.current_thread())
+            time.sleep(0.02)
+            return tile
+
+        try:
+            assert started.wait(10)
+            assert list(model._map_tiles(task, list(range(12)))) == list(range(12))
+        finally:
+            release.set()
+        assert blocker.result(timeout=10)
+        assert threads[0] is caller
+        assert any(thread is not caller for thread in threads)
+
+    def test_one_worker_runs_every_tile_on_the_caller_and_makes_no_pool(self, monkeypatch):
+        model._tile_pool.cache_clear()
+        self.force_workers(monkeypatch, 1)
+        caller, ran, failing = threading.current_thread(), [], set()
+
+        def task(tile):
+            ran.append((tile, threading.current_thread()))
+            if tile in failing:
+                raise RuntimeError(f"tile {tile} failed")
+            return tile
+
+        assert list(model._map_tiles(task, list(range(5)))) == list(range(5))
+        assert ran == [(tile, caller) for tile in range(5)]
+        ran.clear()
+        failing.add(3)
+        with pytest.raises(RuntimeError, match="^tile 3 failed$"):
+            list(model._map_tiles(task, list(range(5))))
+        assert ran == [(tile, caller) for tile in range(4)]
+        assert model._tile_pool.cache_info().currsize == 0
 
     def test_a_finished_pass_holds_no_reference_to_its_task(self, monkeypatch):
         # the pool thread is busy, so the pass's pool call stays queued, cancelled,
